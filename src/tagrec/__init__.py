@@ -20,7 +20,7 @@ from .prompting import AssembledInput, RankingReply, \
 from .rerank import Ordering, RerankConfig, RerankTrace, VoteMode, VoteTally, \
     partition_into_groups, rank_group, rerank_record, select_prediction, \
     tally_votes
-from .retrieval import Candidate, VectorIndex, build_index, \
+from .retrieval import Candidate, IndexScan, VectorIndex, build_index, \
     cosine_similarity, retrieve, top_k
 from .sim import OracleKind, OracleRanker, OracleSpec, oracle_rank, \
     recovery_experiment

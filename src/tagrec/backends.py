@@ -22,7 +22,7 @@ never reach the wire or the cache key.
 
 Responses are cached content-addressed: the key is a hash of the canonical
 request (kind, model, payload, params), entries are immutable files under a
-two-level hex directory, and writes are atomic (temp file then rename), so
+two-level hex directory, and writes are atomic (temp file then link), so
 warm-cache reruns are bit-identical and make zero remote calls.
 """
 
@@ -114,10 +114,12 @@ class ResponseCache:
     """Content-addressed response store: one immutable file per entry.
 
     Entries live under ``<root>/<key[:2]>/<key[2:4]>/<key>.json``.  Reads are
-    lock-free; writes create a temp file and rename it into place, which is
-    atomic on POSIX, so concurrent writers of the same key are safe.
+    lock-free; writes fill a temp file and hard-link it to the entry's name,
+    which fails if the name exists, so readers never see a partial entry and
+    of concurrent writers of one key exactly one stores its content.
     Re-putting identical content is a no-op; different content for an
-    existing key raises :class:`CacheConflictError`.
+    existing key raises :class:`CacheConflictError`, also when the writers
+    race.
     """
 
     def __init__(self, root: str | Path):
@@ -137,13 +139,6 @@ class ResponseCache:
                           created_at=doc["created_at"], backend_id=doc["backend_id"])
 
     def put(self, entry: CacheEntry) -> None:
-        existing = self.get(entry.key)
-        if existing is not None:
-            if existing.response != entry.response:
-                raise CacheConflictError(
-                    f"cache key {entry.key} already stores different content"
-                )
-            return
         path = self._path(entry.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
@@ -156,10 +151,19 @@ class ResponseCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, ensure_ascii=False)
-            os.replace(tmp, path)
+            # Exclusive create of the complete file: of several writers of
+            # one key exactly one links, and the others compare with it.
+            os.link(tmp, path)
+            return
+        except FileExistsError:
+            existing = self.get(entry.key)
         finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
+        # None: a clear() came in between, and the entry stays cleared.
+        if existing is not None and existing.response != entry.response:
+            raise CacheConflictError(
+                f"cache key {entry.key} already stores different content"
+            )
 
     def stats(self) -> dict:
         entries = list(self.root.glob("*/*/*.json"))

@@ -27,7 +27,7 @@ from .evaluation import EvalReport, PredictionSet, SweepAxis, SweepTable, \
     evaluate_predictions, sweep
 from .prompting import assemble_generation_input
 from .rerank import Ordering, RerankConfig, derive_seed, rerank_record
-from .retrieval import EmbedderBackend, VectorIndex, retrieve
+from .retrieval import EmbedderBackend, IndexScan, VectorIndex, retrieve
 
 __all__ = [
     "RunResult",
@@ -80,7 +80,7 @@ class RunResult:
 def _process_record(
     record: NumeralRecord,
     corpus_texts: dict[str, str],
-    index: VectorIndex,
+    scan: IndexScan,
     generator: GeneratorBackend,
     embedder: EmbedderBackend,
     ranker: RankerBackend,
@@ -93,7 +93,7 @@ def _process_record(
         gen_doc = generate(assembled, generator, record)
     except MissingGenerationError as exc:
         return "skipped", None, None, str(exc)
-    candidates = retrieve(record, gen_doc, index, embedder, config.top_k)
+    candidates = retrieve(record, gen_doc, scan, embedder, config.top_k)
     record_cfg = replace(config, seed=derive_seed(config.seed, record.record_id))
     predicted, trace = rerank_record(
         gen_doc, candidates, corpus_texts, record_cfg, ranker,
@@ -122,7 +122,11 @@ def run_records(
     instruction: str,
     concurrency: int = 1,
 ) -> RunResult:
-    """Run the full pipeline over a dataset."""
+    """Run the full pipeline over a dataset.
+
+    The index is prepared for scanning once per call; the scan is dropped
+    when the call returns (see :mod:`tagrec.retrieval`).
+    """
     if config.top_k > len(index):
         raise ConfigError(
             f"top_k={config.top_k} exceeds the index size {len(index)}"
@@ -133,11 +137,12 @@ def run_records(
         raise ConfigError("concurrency must be >= 1")
 
     corpus_texts = corpus.texts()
+    scan = IndexScan(index)
 
     def work(record: NumeralRecord):
         try:
             return record.record_id, _process_record(
-                record, corpus_texts, index, generator, embedder, ranker,
+                record, corpus_texts, scan, generator, embedder, ranker,
                 config, instruction,
             )
         except Exception as exc:

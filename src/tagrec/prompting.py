@@ -41,6 +41,7 @@ DEFAULT_RERANK_TEMPLATE_NAME = "rerank_prompt_v1.txt"
 DEFAULT_INSTRUCTION_NAME = "instruction_v1.txt"
 
 _IDENTIFIER_RE = re.compile(r"\[(\d+)\]")
+_PLACEHOLDER_RE = re.compile(r"\{\{(n|gen_doc|passages)\}\}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,10 @@ def build_rerank_prompt(
 
     Each group member is presented as a numbered passage ``[i] <text>`` in
     the given order; the template's ``{{gen_doc}}``, ``{{passages}}`` and
-    ``{{n}}`` placeholders are substituted.  Rendering is deterministic:
-    identical inputs yield byte-identical prompts.
+    ``{{n}}`` placeholders are substituted in a single pass, so the
+    generated document and tag texts appear verbatim even when they contain
+    placeholders.  Rendering is deterministic: identical inputs yield
+    byte-identical prompts.
     """
     if not gen_doc:
         raise ValueError("gen_doc must be non-empty")
@@ -110,12 +113,9 @@ def build_rerank_prompt(
     if template is None:
         template = default_rerank_template()
     passages = "\n".join(f"[{i}] {doc.text}" for i, doc in enumerate(group, start=1))
-    return (
-        template
-        .replace("{{n}}", str(len(group)))
-        .replace("{{gen_doc}}", gen_doc)
-        .replace("{{passages}}", passages)
-    )
+    values = {"n": str(len(group)), "gen_doc": gen_doc, "passages": passages}
+    # One pass over the template: substituted text is never searched again.
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
 
 
 def parse_ranking_reply(raw: str, group_len: int) -> RankingReply:

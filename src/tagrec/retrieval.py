@@ -5,6 +5,14 @@ every query is scored against every tag document embedding and the k highest
 cosine similarities win.  Ties are broken by corpus order (earlier wins) so
 runs are reproducible.  No approximate-nearest-neighbor structure.
 
+The scan works on an :class:`IndexScan`: the index rows cast to float64 and
+their norms, computed once instead of on every query.  ``run_records`` builds
+one per call and drops it when the call returns, so the copy (twice the size
+of the float32 index) lives only while queries run.  It is not cached on
+:class:`VectorIndex`, where it would stay alive as long as the index does,
+across set-ups and idle time.  ``top_k`` also accepts a plain index and then
+builds a throwaway scan, which costs what every query used to cost.
+
 The index persists as a flat binary file:
 
     header:     uint32 dim, uint32 count        (little endian)
@@ -12,8 +20,8 @@ The index persists as a flat binary file:
                 dim * float32 values            (little endian)
 
 Vectors are stored as float32, so a persisted index reloads bit-exactly.
-The index is immutable after build; ``top_k`` is read-only and safe for
-concurrent callers.
+The index and its scans are not modified after build; ``top_k`` is
+read-only and safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .errors import BackendError
 __all__ = [
     "Candidate",
     "VectorIndex",
+    "IndexScan",
     "EmbedderBackend",
     "cosine_similarity",
     "build_index",
@@ -116,28 +125,26 @@ class VectorIndex:
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         path = Path(path)
-        data = path.read_bytes()
-        if len(data) < 8:
-            raise ValueError(f"{path}: truncated index file")
-        dim, count = struct.unpack_from("<II", data, 0)
-        offset = 8
-        ids: list[str] = []
-        vecs = np.empty((count, dim), dtype=np.float32)
-        for i in range(count):
-            if offset + 4 > len(data):
-                raise ValueError(f"{path}: truncated index entry {i}")
-            (id_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            end = offset + id_len
-            vec_end = end + 4 * dim
-            if vec_end > len(data):
-                raise ValueError(f"{path}: truncated index entry {i}")
-            ids.append(data[offset:end].decode("utf-8"))
-            vecs[i] = np.frombuffer(data[end:vec_end], dtype="<f4")
-            offset = vec_end
-        if offset != len(data):
-            raise ValueError(f"{path}: trailing bytes after {count} entries")
-        return cls(tag_ids=tuple(ids), vectors=vecs)
+        with path.open("rb") as fh:
+            header = fh.read(8)
+            if len(header) < 8:
+                raise ValueError(f"{path}: truncated index file")
+            dim, count = struct.unpack("<II", header)
+            ids: list[str] = []
+            vecs = np.empty((count, dim), dtype="<f4")
+            for i in range(count):
+                raw_len = fh.read(4)
+                if len(raw_len) < 4:
+                    raise ValueError(f"{path}: truncated index entry {i}")
+                (id_len,) = struct.unpack("<I", raw_len)
+                raw = fh.read(id_len)
+                # Each vector is read straight into its row of the index.
+                if len(raw) < id_len or fh.readinto(vecs[i]) < 4 * dim:
+                    raise ValueError(f"{path}: truncated index entry {i}")
+                ids.append(raw.decode("utf-8"))
+            if fh.read(1):
+                raise ValueError(f"{path}: trailing bytes after {count} entries")
+        return cls(tag_ids=tuple(ids), vectors=vecs.astype(np.float32, copy=False))
 
 
 def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
@@ -147,8 +154,7 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
         raise ValueError("corpus is empty")
     ids = [doc.tag_id for doc in corpus.docs]
     texts = [doc.text for doc in corpus.docs]
-    batches: list[np.ndarray] = []
-    dim: int | None = None
+    vectors: np.ndarray | None = None
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
         try:
@@ -162,50 +168,98 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
             raise BackendError(
                 f"embedder returned shape {vecs.shape} for a batch of {len(chunk)}"
             )
-        if dim is None:
-            dim = int(vecs.shape[1])
-        elif int(vecs.shape[1]) != dim:
+        if vectors is None:
+            vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32)
+        elif vecs.shape[1] != vectors.shape[1]:
             raise BackendError(
-                f"embedding dimension changed across batches: {dim} then "
-                f"{int(vecs.shape[1])} (batch starting at tag {ids[start]!r})"
+                f"embedding dimension changed across batches: {vectors.shape[1]} "
+                f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
             )
-        batches.append(vecs.astype(np.float32))
-    return VectorIndex(tag_ids=tuple(ids), vectors=np.vstack(batches))
+        vectors[start:start + len(chunk)] = vecs
+    return VectorIndex(tag_ids=tuple(ids), vectors=vectors)
 
 
-def top_k(query, index: VectorIndex, k: int) -> list[Candidate]:
+class IndexScan:
+    """A :class:`VectorIndex` prepared for repeated ``top_k`` queries.
+
+    Holds the index rows as float64 and each row's norm, so a query costs
+    one mat-vec.  Build one per run (``run_records`` does) and let it go
+    with the run; see the module docstring.
+    """
+
+    # Rows per block of the norm computation: each row's norm is the same
+    # as over the whole matrix, and the squared temporary stays small.
+    NORM_BLOCK_ROWS = 1024
+
+    def __init__(self, index: VectorIndex):
+        self.tag_ids = index.tag_ids
+        self.matrix = index.vectors.astype(np.float64)
+        self.norms = np.empty(len(index))
+        for start in range(0, len(index), self.NORM_BLOCK_ROWS):
+            block = slice(start, start + self.NORM_BLOCK_ROWS)
+            self.norms[block] = np.linalg.norm(self.matrix[block], axis=1)
+        zeros = np.flatnonzero(self.norms == 0.0)
+        # Raised by each query, not here: run_records builds the scan outside
+        # its per-record error handling, and a bad row fails records, not runs.
+        self.zero_tag_id = self.tag_ids[int(zeros[0])] if zeros.size else None
+
+    def __len__(self) -> int:
+        return len(self.tag_ids)
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrix.shape[1])
+
+
+def _top_positions(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores, kind="stable")[:k]`` without sorting every score.
+
+    Only the scores at or above the k-th best are sorted.  Their positions
+    come in corpus order, so the stable sort keeps corpus order among ties.
+    NaN sorts last, as in ``argsort``; a NaN k-th score takes the full sort.
+    """
+    neg = -scores
+    if k < neg.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):
+            head = np.flatnonzero(neg <= kth)
+            return head[np.argsort(neg[head], kind="stable")][:k]
+    return np.argsort(neg, kind="stable")[:k]
+
+
+def top_k(query, index: VectorIndex | IndexScan, k: int) -> list[Candidate]:
     """The k index entries most cosine-similar to the query.
 
     Scores are non-increasing; equal scores are ordered by corpus position
-    (earlier wins); retrieval_rank runs 1..k without gaps.
+    (earlier wins); retrieval_rank runs 1..k without gaps.  Pass an
+    :class:`IndexScan` when querying many times: given a plain
+    :class:`VectorIndex`, this builds a throwaway scan for the one query.
+    The scan is not cached on the index, so its float64 copy lives only as
+    long as its caller keeps it.
     """
+    scan = index if isinstance(index, IndexScan) else IndexScan(index)
     q = _as_vector(query)
-    if q.shape[0] != index.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs index {index.dim}")
-    if not 1 <= k <= len(index):
-        raise ValueError(f"k={k} out of range for index of size {len(index)}")
+    if q.shape[0] != scan.dim:
+        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs index {scan.dim}")
+    if not 1 <= k <= len(scan):
+        raise ValueError(f"k={k} out of range for index of size {len(scan)}")
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise ValueError("cosine similarity undefined for a zero query vector")
-    mat = index.vectors.astype(np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        zero_id = index.tag_ids[int(np.argmax(norms == 0.0))]
-        raise ValueError(f"index entry {zero_id!r} has a zero vector")
-    scores = (mat @ q) / (norms * qn)
-    # Stable sort keeps corpus order among equal scores.
-    order = np.argsort(-scores, kind="stable")[:k]
+    if scan.zero_tag_id is not None:
+        raise ValueError(f"index entry {scan.zero_tag_id!r} has a zero vector")
+    scores = (scan.matrix @ q) / (scan.norms * qn)
     return [
-        Candidate(tag_id=index.tag_ids[int(pos)], score=float(scores[int(pos)]),
+        Candidate(tag_id=scan.tag_ids[int(pos)], score=float(scores[int(pos)]),
                   retrieval_rank=rank)
-        for rank, pos in enumerate(order, start=1)
+        for rank, pos in enumerate(_top_positions(scores, k), start=1)
     ]
 
 
 def retrieve(
     record: NumeralRecord,
     gen_doc: str,
-    index: VectorIndex,
+    index: VectorIndex | IndexScan,
     embedder: EmbedderBackend,
     k: int,
 ) -> list[Candidate]:

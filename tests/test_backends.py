@@ -102,6 +102,47 @@ class TestResponseCache:
         assert cache.get(key).response == "same bytes"
         assert cache.stats()["entries"] == 1
 
+    def test_concurrent_writers_of_different_content(self, tmp_path):
+        import sys
+        import threading
+
+        cache = ResponseCache(tmp_path / "cache")
+        key = "bb" * 32
+        start = threading.Barrier(8, timeout=10)
+        conflicts = []
+
+        def writer(i):
+            start.wait()
+            try:
+                cache.put(CacheEntry(key=key, response=f"reply {i}",
+                                     created_at=0.0, backend_id="t"))
+            except CacheConflictError as exc:
+                conflicts.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(conflicts) == 7
+        assert cache.get(key).response in {f"reply {i}" for i in range(8)}
+        assert cache.stats()["entries"] == 1
+        assert list((tmp_path / "cache").rglob("*.tmp")) == []
+
+    def test_put_of_a_new_key_reads_nothing(self, tmp_path, monkeypatch):
+        cache = ResponseCache(tmp_path / "cache")
+        reads = []
+        monkeypatch.setattr(cache, "get", lambda key: reads.append(key))
+        cache.put(CacheEntry(key="cc" * 32, response="r", created_at=0.0,
+                             backend_id="t"))
+        assert reads == []
+
 
 class TestHashEmbedder:
     def test_deterministic(self):

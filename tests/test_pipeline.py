@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from tagrec import pipeline, retrieval
 from tagrec.backends import FileBackedGenerator, HashEmbedder
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import ConfigError
 from tagrec.evaluation import SweepAxis, evaluate_predictions
 from tagrec.pipeline import apply_axis, jsonl_line, run_records, run_sweep
 from tagrec.rerank import Ordering, RerankConfig, VoteMode
-from tagrec.retrieval import build_index
+from tagrec.retrieval import IndexScan, VectorIndex, build_index
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 from conftest import make_corpus, make_records
@@ -128,6 +129,53 @@ class TestRunRecords:
                       ranker=OracleRanker(OracleSpec(OracleKind.LEXICAL)))
         assert [p["predicted_tag_id"] for p in lexical.predictions] == \
             [p["predicted_tag_id"] for p in perfect.predictions]
+
+
+class TestRunScan:
+    def test_same_outputs_as_retrieving_from_the_plain_index(self, parts,
+                                                              monkeypatch):
+        corpus, index, _ = parts
+        records = make_records(5) + [NumeralRecord(
+            record_id="r900", report_text="total 42 .", numeral="42",
+            question="q", gold_tag_id="LongTermDebt",
+            gen_tag_doc="cost of debt and income taxes for the period")]
+        config = RerankConfig(seed=7, top_k=6, group_size=3)
+        ranker = OracleRanker(OracleSpec(OracleKind.LEXICAL))
+        scanned = run(parts, records, ranker=ranker, config=config)
+
+        passed = []
+
+        def retrieve_from_index(record, gen_doc, scan, embedder, k):
+            passed.append(scan)
+            return retrieval.retrieve(record, gen_doc, index, embedder, k)
+
+        monkeypatch.setattr(pipeline, "retrieve", retrieve_from_index)
+        plain = run(parts, records, ranker=ranker, config=config)
+        assert len(passed) == len(records)
+        assert all(isinstance(s, IndexScan) and s is passed[0] for s in passed)
+        assert [jsonl_line(p) for p in scanned.predictions] == \
+            [jsonl_line(p) for p in plain.predictions]
+        assert [jsonl_line(t) for t in scanned.traces] == \
+            [jsonl_line(t) for t in plain.traces]
+
+    def test_index_holds_no_copy_after_the_run(self, parts):
+        _, index, _ = parts
+        before = dict(index.__dict__)
+        run(parts, make_records(3))
+        assert index.__dict__.keys() == before.keys()
+        assert all(index.__dict__[name] is value for name, value in before.items())
+
+    def test_zero_vector_fails_each_record_as_before(self):
+        corpus = make_corpus()
+        embedder = HashEmbedder(dim=64)
+        built = build_index(corpus, embedder)
+        vectors = built.vectors.copy()
+        vectors[3] = 0.0
+        index = VectorIndex(tag_ids=built.tag_ids, vectors=vectors)
+        result = run((corpus, index, embedder), make_records(2))
+        assert result.predictions == []
+        assert [f["reason"] for f in result.failed] == \
+            ["index entry 'NetIncomeLoss' has a zero vector"] * 2
 
 
 class TestApplyAxis:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tagrec.corpus import NumeralRecord, TagDocument
 from tagrec.errors import UnparseableReplyError
@@ -42,6 +42,14 @@ class TestAssemble:
 
 def group_of(n):
     return [TagDocument(f"T{i}", f"text number {i}") for i in range(1, n + 1)]
+
+
+# Any text, with the template's placeholders mixed in.
+placeholder_text = st.lists(
+    st.one_of(st.text(max_size=8),
+              st.sampled_from(["{{n}}", "{{gen_doc}}", "{{passages}}", "{{", "}}"])),
+    max_size=6,
+).map("".join)
 
 
 class TestBuildPrompt:
@@ -85,6 +93,36 @@ class TestBuildPrompt:
         prompt = build_rerank_prompt("gen", group_of(4))
         assert "{{" not in prompt
         assert default_rerank_template().count("{{n}}") >= 1
+
+    def test_placeholders_in_inputs_not_substituted(self):
+        template = "N={{n}} G={{gen_doc}}\n{{passages}}"
+        group = [TagDocument("T1", "tag {{gen_doc}} {{n}}")]
+        prompt = build_rerank_prompt("g {{passages}} {{n}}", group, template=template)
+        assert prompt == "N=1 G=g {{passages}} {{n}}\n[1] tag {{gen_doc}} {{n}}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(gen_doc=placeholder_text.filter(bool),
+           texts=st.lists(placeholder_text.filter(str.strip), min_size=1, max_size=5))
+    def test_inputs_verbatim_and_passages_once(self, gen_doc, texts):
+        group = [TagDocument(f"T{i}", text) for i, text in enumerate(texts)]
+        passages = "\n".join(f"[{i}] {t}" for i, t in enumerate(texts, start=1))
+        assume(passages not in gen_doc)
+        prompt = build_rerank_prompt(gen_doc, group)
+        assert gen_doc in prompt
+        assert all(text in prompt for text in texts)
+        assert prompt.count(passages) == 1
+
+    @given(gen_doc=st.text(min_size=1).filter(lambda t: "{{" not in t),
+           texts=st.lists(st.text().filter(lambda t: t.strip() and "{{" not in t),
+                          min_size=1, max_size=5))
+    def test_same_bytes_as_sequential_replace(self, gen_doc, texts):
+        # Prompts are cache keys: inputs without placeholders render as
+        # the earlier replace-in-sequence did.
+        group = [TagDocument(f"T{i}", text) for i, text in enumerate(texts)]
+        passages = "\n".join(f"[{i}] {t}" for i, t in enumerate(texts, start=1))
+        expected = (default_rerank_template().replace("{{n}}", str(len(texts)))
+                    .replace("{{gen_doc}}", gen_doc).replace("{{passages}}", passages))
+        assert build_rerank_prompt(gen_doc, group) == expected
 
 
 class TestParseReply:

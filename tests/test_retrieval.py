@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tagrec.backends import HashEmbedder
 from tagrec.errors import BackendError
-from tagrec.retrieval import VectorIndex, build_index, \
-    cosine_similarity, retrieve, top_k
+from tagrec.retrieval import IndexScan, VectorIndex, _top_positions, \
+    build_index, cosine_similarity, retrieve, top_k
 
 from conftest import make_records
 
@@ -22,6 +22,19 @@ def brute_force_top_k(query, index, k):
         scored.append((pos, score))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return [index.tag_ids[pos] for pos, _ in scored[:k]]
+
+
+def per_query_top_k(query, vectors, k):
+    """The per-query scan IndexScan replaces: float64 copy, norms, full sort.
+
+    Returns (position, score.hex()) pairs, so scores compare bit for bit.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    mat = vectors.astype(np.float64)
+    norms = np.linalg.norm(mat, axis=1)
+    scores = (mat @ q) / (norms * np.linalg.norm(q))
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(int(pos), float(scores[pos]).hex()) for pos in order]
 
 
 class TestCosine:
@@ -103,6 +116,27 @@ class TestIndex:
         path.write_bytes(data[:-3])
         with pytest.raises(ValueError, match="truncated"):
             VectorIndex.load(path)
+
+    def test_every_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        index = VectorIndex(tag_ids=("a", "bc"),
+                            vectors=np.arange(6, dtype=np.float32).reshape(2, 3))
+        path = tmp_path / "tags.idx"
+        index.save(path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                VectorIndex.load(path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes after 2 entries"):
+            VectorIndex.load(path)
+
+    def test_build_matches_one_cast_of_all_batches(self, ten_tag_corpus):
+        embedder = HashEmbedder(dim=16)
+        index = build_index(ten_tag_corpus, embedder, batch_size=3)
+        whole = embedder.embed_batch([d.text for d in ten_tag_corpus.docs])
+        assert index.vectors.dtype == np.float32
+        assert np.array_equal(index.vectors, whole.astype(np.float32))
 
     def test_unicode_tag_ids_round_trip(self, tmp_path):
         index = VectorIndex(tag_ids=("净利润", "收入"),
@@ -187,6 +221,68 @@ class TestTopK:
         query = rng.normal(size=dim)
         got = [c.tag_id for c in top_k(query, index, k)]
         assert got == brute_force_top_k(query, index, k)
+
+
+# Small-integer rows drawn from a few distinct ones: many duplicated rows
+# and many equal scores, so k often falls inside a run of ties.
+tie_heavy = st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=30),
+    st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+))
+
+
+class TestIndexScan:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_heavy)
+    def test_same_ids_and_score_bits_as_per_query_scan(self, case):
+        pool, picks, query = case
+        vectors = np.array([pool[i % len(pool)] for i in picks], dtype=np.float32)
+        index = VectorIndex(tag_ids=tuple(f"t{i}" for i in range(len(picks))),
+                            vectors=vectors)
+        scan = IndexScan(index)
+        for k in range(1, len(index) + 1):
+            expected = [(index.tag_ids[pos], bits)
+                        for pos, bits in per_query_top_k(query, vectors, k)]
+            for source in (scan, index):
+                got = [(c.tag_id, c.score.hex()) for c in top_k(query, source, k)]
+                assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([0.0, -0.0, 0.5, float("nan")])),
+        min_size=1, max_size=40))
+    def test_partial_selection_equals_stable_argsort(self, scores):
+        scores = np.array(scores, dtype=np.float64)
+        full = np.argsort(-scores, kind="stable")
+        for k in range(1, scores.size + 1):
+            assert _top_positions(scores, k).tolist() == full[:k].tolist()
+
+    def test_norms_by_block_equal_norms_of_whole_matrix(self):
+        rng = np.random.default_rng(5)
+        n = 2 * IndexScan.NORM_BLOCK_ROWS + 37
+        index = random_index(rng, n, 24)
+        scan = IndexScan(index)
+        whole = np.linalg.norm(index.vectors.astype(np.float64), axis=1)
+        assert scan.norms.tobytes() == whole.tobytes()
+        query = rng.normal(size=24)
+        got = [(c.tag_id, c.score.hex()) for c in top_k(query, scan, 50)]
+        assert got == [(index.tag_ids[pos], bits)
+                       for pos, bits in per_query_top_k(query, index.vectors, 50)]
+
+    def test_zero_vector_reported_by_the_first_query(self):
+        vectors = np.array([[1, 0], [0, 0], [0, 1]], dtype=np.float32)
+        index = VectorIndex(tag_ids=("a", "empty", "c"), vectors=vectors)
+        scan = IndexScan(index)
+        for source in (scan, index):
+            with pytest.raises(ValueError,
+                               match="^index entry 'empty' has a zero vector$"):
+                top_k([1.0, 1.0], source, 1)
+        # A zero query is reported before a zero row.
+        with pytest.raises(ValueError, match="zero query vector"):
+            top_k([0.0, 0.0], scan, 1)
 
 
 class TestRetrieve:
