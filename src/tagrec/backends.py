@@ -34,9 +34,9 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 import requests
@@ -64,10 +64,7 @@ __all__ = [
     "CachingRanker",
     "CachingEmbedder",
     "generate",
-    "embed_batch",
     "rank_listwise",
-    "cache_get",
-    "cache_put",
 ]
 
 
@@ -180,14 +177,6 @@ class ResponseCache:
         return len(entries)
 
 
-def cache_get(cache: ResponseCache, key: str) -> CacheEntry | None:
-    return cache.get(key)
-
-
-def cache_put(cache: ResponseCache, entry: CacheEntry) -> None:
-    cache.put(entry)
-
-
 # --------------------------------------------------------------------------
 # Backend contracts
 
@@ -240,22 +229,8 @@ def generate(inp: AssembledInput, backend: GeneratorBackend,
     return backend.generate(request)
 
 
-def embed_batch(texts: Sequence[str], backend) -> np.ndarray:
-    """Embed a batch of texts; one vector per text, uniform dim, order kept."""
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    if any(not t for t in texts):
-        raise ValueError("every text must be non-empty")
-    vecs = np.asarray(backend.embed_batch(list(texts)))
-    if vecs.ndim != 2 or vecs.shape[0] != len(texts):
-        raise BackendError(f"embedder returned shape {vecs.shape} for {len(texts)} texts")
-    return vecs
-
-
-def rank_listwise(request: RankRequest | str, backend: RankerBackend) -> str:
+def rank_listwise(request: RankRequest, backend: RankerBackend) -> str:
     """Send one listwise ranking prompt and return the verbatim reply."""
-    if isinstance(request, str):
-        request = RankRequest(prompt=request)
     if not request.prompt:
         raise ValueError("prompt must be non-empty")
     return backend.rank_listwise(request)
@@ -415,47 +390,13 @@ class _HttpClient:
         )
 
 
-def _chat_completion(client: _HttpClient, model: str, prompt: str,
-                     temperature: float, system: str | None) -> str:
-    messages = []
-    if system:
-        messages.append({"role": "system", "content": system})
-    messages.append({"role": "user", "content": prompt})
-    body = {"model": model, "messages": messages, "temperature": temperature}
-    doc = client.post_json("/chat/completions", body)
-    try:
-        return doc["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise BackendError(f"{client.role}: malformed chat response") from exc
+class _HttpChat:
+    """A chat-completions backend: the request's prompt as the user message.
 
-
-class HttpChatGenerator:
-    """Generates tag documents through a chat-completions endpoint."""
-
-    def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
-                 system: str | None = None, **client_kwargs):
-        self.model = model
-        self.temperature = temperature
-        self.system = system
-        self._client = _HttpClient("generator", base_url, **client_kwargs)
-        self.backend_id = f"http-generator:{model}"
-
-    def request_of(self, request: GenerateRequest) -> BackendRequest:
-        return BackendRequest(
-            kind="generate", payload=request.text, model_id=self.model,
-            params=(("temperature", repr(self.temperature)),),
-        )
-
-    def generate(self, request: GenerateRequest) -> str:
-        return _chat_completion(self._client, self.model, request.text,
-                                self.temperature, self.system)
-
-
-class HttpChatRanker:
-    """Ranks listwise prompts through a chat-completions endpoint.
-
-    Temperature defaults to 0: the exchange needs structured, consistent
-    rankings, and any residual nondeterminism is absorbed by the cache.
+    Each subclass sets its ``role`` and cache ``kind`` and defines
+    ``_prompt``, which picks the prompt out of its request type.  The cache
+    key holds every input that changes the reply: the prompt, the model, the
+    temperature, and the system prompt when one is sent.
     """
 
     def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
@@ -463,18 +404,56 @@ class HttpChatRanker:
         self.model = model
         self.temperature = temperature
         self.system = system
-        self._client = _HttpClient("ranker", base_url, **client_kwargs)
-        self.backend_id = f"http-ranker:{model}"
+        self._client = _HttpClient(self.role, base_url, **client_kwargs)
+        self.backend_id = f"http-{self.role}:{model}"
 
-    def request_of(self, request: RankRequest) -> BackendRequest:
-        return BackendRequest(
-            kind="rank", payload=request.prompt, model_id=self.model,
-            params=(("temperature", repr(self.temperature)),),
-        )
+    def request_of(self, request) -> BackendRequest:
+        params = (("temperature", repr(self.temperature)),)
+        if self.system:
+            params += (("system", self.system),)
+        return BackendRequest(kind=self.kind, payload=self._prompt(request),
+                              model_id=self.model, params=params)
+
+    def _complete(self, request) -> str:
+        messages = []
+        if self.system:
+            messages.append({"role": "system", "content": self.system})
+        messages.append({"role": "user", "content": self._prompt(request)})
+        body = {"model": self.model, "messages": messages,
+                "temperature": self.temperature}
+        doc = self._client.post_json("/chat/completions", body)
+        try:
+            return doc["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendError(f"{self.role}: malformed chat response") from exc
+
+
+class HttpChatGenerator(_HttpChat):
+    """Generates tag documents through a chat-completions endpoint."""
+
+    role, kind = "generator", "generate"
+
+    def _prompt(self, request: GenerateRequest) -> str:
+        return request.text
+
+    def generate(self, request: GenerateRequest) -> str:
+        return self._complete(request)
+
+
+class HttpChatRanker(_HttpChat):
+    """Ranks listwise prompts through a chat-completions endpoint.
+
+    Temperature defaults to 0: the exchange needs structured, consistent
+    rankings, and any residual nondeterminism is absorbed by the cache.
+    """
+
+    role, kind = "ranker", "rank"
+
+    def _prompt(self, request: RankRequest) -> str:
+        return request.prompt
 
     def rank_listwise(self, request: RankRequest) -> str:
-        return _chat_completion(self._client, self.model, request.prompt,
-                                self.temperature, self.system)
+        return self._complete(request)
 
 
 class HttpEmbedder:
@@ -484,6 +463,10 @@ class HttpEmbedder:
         self.model = model
         self._client = _HttpClient("embedder", base_url, **client_kwargs)
         self.backend_id = f"http-embedder:{model}"
+
+    def request_of(self, texts: list[str]) -> BackendRequest:
+        return BackendRequest(kind="embed", model_id=self.model,
+                              payload=json.dumps(list(texts), ensure_ascii=False))
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         doc = self._client.post_json("/embeddings", {"model": self.model,
@@ -565,12 +548,8 @@ class CachingEmbedder(_CachingBase):
     """Caches per-batch embedding responses (vectors stored as JSON)."""
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        payload = json.dumps(list(texts), ensure_ascii=False)
-        model_id = getattr(self.inner, "model", self.inner.backend_id)
-        backend_request = BackendRequest(kind="embed", payload=payload,
-                                         model_id=str(model_id))
         response = self._cached_call(
-            backend_request,
+            self.inner.request_of(texts),
             lambda: json.dumps(np.asarray(self.inner.embed_batch(texts)).tolist()),
         )
         return np.asarray(json.loads(response), dtype=np.float64)

@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from . import backends as be
-from .corpus import load_dataset, load_taxonomy
+from .corpus import _iter_jsonl, _require_str, load_dataset, load_taxonomy
 from .errors import ConfigError, TagRecError
-from .evaluation import EvalReport, PredictionSet, SweepAxis, \
-    evaluate_predictions
+from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
+    evaluate_predictions, render_table
 from .pipeline import jsonl_line, run_records, run_sweep
 from .prompting import default_instruction, default_rerank_template, \
     load_template
@@ -76,38 +76,26 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
-    flag_map = {
-        "taxonomy": "taxonomy", "dataset": "dataset", "index": "index",
-        "cache_dir": "cache_dir", "trace_out": "trace_out",
-        "predictions_out": "predictions_out", "generator": "generator",
-        "embedder": "embedder", "ranker": "ranker",
-        "instruction_path": "instruction_path", "top_k": "top_k",
-        "group_size": "group_size", "iterations": "iterations",
-        "ordering": "ordering", "vote_mode": "vote_mode", "seed": "seed",
-        "concurrency": "concurrency",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    # Each flag is named after the setting it overrides.
+    for key in DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
 
 
+def _choice(enum, value, name: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name} must be one of {[e.value for e in enum]}, got {value!r}"
+        ) from None
+
+
 def _rerank_config(settings: dict) -> RerankConfig:
-    try:
-        ordering = Ordering(settings["ordering"])
-    except ValueError:
-        raise ConfigError(
-            f"ordering must be one of "
-            f"{[o.value for o in Ordering]}, got {settings['ordering']!r}"
-        ) from None
-    try:
-        vote_mode = VoteMode(settings["vote_mode"])
-    except ValueError:
-        raise ConfigError(
-            f"vote_mode must be one of "
-            f"{[v.value for v in VoteMode]}, got {settings['vote_mode']!r}"
-        ) from None
+    ordering = _choice(Ordering, settings["ordering"], "ordering")
+    vote_mode = _choice(VoteMode, settings["vote_mode"], "vote_mode")
     try:
         return RerankConfig(
             group_size=int(settings["group_size"]),
@@ -237,17 +225,15 @@ def _build_ranker(spec, seed: int):
 
 
 def _wrap_with_cache(settings: dict, generator, embedder, ranker):
-    """Attach the response cache to every cachable backend."""
-    cache = None
-    if settings.get("cache_dir"):
-        cache = be.ResponseCache(settings["cache_dir"])
-        if hasattr(generator, "request_of"):
-            generator = be.CachingGenerator(generator, cache)
-        if hasattr(ranker, "request_of"):
-            ranker = be.CachingRanker(ranker, cache)
-        if isinstance(embedder, be.HttpEmbedder):
-            embedder = be.CachingEmbedder(embedder, cache)
-    return cache, generator, embedder, ranker
+    """Attach the response cache to every backend that builds cache keys."""
+    if not settings.get("cache_dir"):
+        return generator, embedder, ranker
+    cache = be.ResponseCache(settings["cache_dir"])
+
+    def wrap(backend, caching):
+        return caching(backend, cache) if hasattr(backend, "request_of") else backend
+    return (wrap(generator, be.CachingGenerator),
+            wrap(embedder, be.CachingEmbedder), wrap(ranker, be.CachingRanker))
 
 
 def _cache_counters(*wrapped) -> dict:
@@ -278,6 +264,18 @@ def _load_or_build_index(settings: dict, corpus, embedder,
         index.save(index_path)
         print(f"built and saved index: {index_path}", file=sys.stderr)
     return index
+
+
+def _pipeline_inputs(settings: dict, seed: int):
+    """Corpus, records, backends (cached if configured) and index of a run."""
+    corpus = load_taxonomy(_require_path(settings, "taxonomy"))
+    records = load_dataset(_require_path(settings, "dataset"), corpus)
+    generator, embedder, ranker = _wrap_with_cache(
+        settings, _build_generator(settings["generator"]),
+        _build_embedder(settings["embedder"]),
+        _build_ranker(settings["ranker"], seed=seed))
+    index = _load_or_build_index(settings, corpus, embedder)
+    return corpus, records, generator, embedder, ranker, index
 
 
 # --------------------------------------------------------------------------
@@ -319,19 +317,10 @@ def _manifest(settings: dict, instruction: str, backend_ids: dict,
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    taxonomy_path = _require_path(settings, "taxonomy")
-    dataset_path = _require_path(settings, "dataset")
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
-
-    corpus = load_taxonomy(taxonomy_path)
-    records = load_dataset(dataset_path, corpus)
-    generator = _build_generator(settings["generator"])
-    embedder = _build_embedder(settings["embedder"])
-    ranker = _build_ranker(settings["ranker"], seed=config.seed)
-    cache, generator, embedder, ranker = _wrap_with_cache(
-        settings, generator, embedder, ranker)
-    index = _load_or_build_index(settings, corpus, embedder)
+    corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
+        settings, config.seed)
 
     result = run_records(
         records, corpus, index, generator=generator, embedder=embedder,
@@ -373,39 +362,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_table(report: EvalReport) -> str:
-    header = ["Hits@1", "M-P", "M-R", "M-F1", "AVG"]
-    values = [f"{v:.4f}" for v in (report.hits_at_1, report.macro_p,
-                                   report.macro_r, report.macro_f1,
-                                   report.avg)]
-    widths = [max(len(h), len(v)) for h, v in zip(header, values)]
-    return (
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n"
-        + "  ".join(v.ljust(w) for v, w in zip(values, widths))
-    )
-
-
-def _load_predictions(path: Path) -> list[dict]:
-    lines = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if "record_id" not in doc or "predicted_tag_id" not in doc:
-                raise ConfigError(
-                    f"{path}:{lineno}: prediction line needs record_id "
-                    "and predicted_tag_id"
-                )
-            lines.append(doc)
-    if not lines:
-        raise ConfigError(f"{path}: no prediction lines")
-    return lines
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions_path = Path(args.predictions)
     if not predictions_path.exists():
@@ -413,27 +369,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
         raise ConfigError(f"dataset path does not exist: {dataset_path}")
-    lines = _load_predictions(predictions_path)
+    lines = [(_require_str(doc, "record_id", predictions_path, lineno),
+              _require_str(doc, "predicted_tag_id", predictions_path, lineno))
+             for lineno, doc in _iter_jsonl(predictions_path)]
+    if not lines:
+        raise ConfigError(f"{predictions_path}: no prediction lines")
     records = {r.record_id: r for r in load_dataset(dataset_path)}
 
     items = []
     no_gold = 0
-    for doc in lines:
-        record = records.get(doc["record_id"])
+    for record_id, predicted in lines:
+        record = records.get(record_id)
         if record is None:
-            raise ConfigError(
-                f"prediction for unknown record_id {doc['record_id']!r}"
-            )
+            raise ConfigError(f"prediction for unknown record_id {record_id!r}")
         if record.gold_tag_id is None:
             no_gold += 1
             continue
-        items.append((record.record_id, record.gold_tag_id,
-                      doc["predicted_tag_id"]))
+        items.append((record_id, record.gold_tag_id, predicted))
     if not items:
         raise ConfigError("no gold-bearing records to evaluate")
-    report = evaluate_predictions(PredictionSet(items=tuple(items)))
+    try:
+        preds = PredictionSet(items=tuple(items))
+    except ValueError as exc:
+        raise ConfigError(f"{predictions_path}: {exc}") from None
+    report = evaluate_predictions(preds)
 
-    print(_report_table(report))
+    print(render_table(METRIC_COLUMNS, [report.metric_cells()]))
     print(f"n_records={report.n_records} n_classes={report.n_classes} "
           f"skipped_no_gold={no_gold}")
     if args.out:
@@ -459,26 +420,12 @@ def _parse_axis_values(axis: SweepAxis, raw: str) -> list:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    taxonomy_path = _require_path(settings, "taxonomy")
-    dataset_path = _require_path(settings, "dataset")
     template = _rerank_config(settings)
     instruction = _instruction_text(settings)
-    try:
-        axis = SweepAxis(args.axis)
-    except ValueError:
-        raise ConfigError(
-            f"--axis must be one of {[a.value for a in SweepAxis]}"
-        ) from None
+    axis = _choice(SweepAxis, args.axis, "--axis")
     values = _parse_axis_values(axis, args.values)
-
-    corpus = load_taxonomy(taxonomy_path)
-    records = load_dataset(dataset_path, corpus)
-    generator = _build_generator(settings["generator"])
-    embedder = _build_embedder(settings["embedder"])
-    ranker = _build_ranker(settings["ranker"], seed=template.seed)
-    _, generator, embedder, ranker = _wrap_with_cache(
-        settings, generator, embedder, ranker)
-    index = _load_or_build_index(settings, corpus, embedder)
+    corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
+        settings, template.seed)
 
     table = run_sweep(
         records, corpus, index, generator=generator, embedder=embedder,

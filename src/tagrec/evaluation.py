@@ -18,6 +18,7 @@ recall whenever both are positive, and 0 exactly when both are 0).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -32,6 +33,7 @@ __all__ = [
     "hits_at_1",
     "macro_metrics",
     "evaluate_predictions",
+    "render_table",
     "sweep",
 ]
 
@@ -95,6 +97,26 @@ class EvalReport:
             ],
         }
 
+    def metric_cells(self) -> list[str]:
+        """The five headline metrics, as the text tables print them."""
+        return [f"{v:.4f}" for v in (self.hits_at_1, self.macro_p,
+                                     self.macro_r, self.macro_f1, self.avg)]
+
+
+METRIC_COLUMNS = ("Hits@1", "M-P", "M-R", "M-F1", "AVG")
+
+
+def render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, a dashed rule under the header."""
+    widths = [max(len(h), *(len(row[i]) for row in rows))
+              for i, h in enumerate(header)]
+
+    def fmt(row):
+        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+    lines = [fmt(header), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in rows)
+    return "\n".join(lines)
+
 
 def hits_at_1(preds: PredictionSet) -> float:
     """Fraction of records whose prediction equals the gold tag."""
@@ -108,12 +130,14 @@ def macro_metrics(preds: PredictionSet) -> tuple[float, float, float, tuple[Clas
     """Unweighted per-class precision/recall/F1 means over the gold universe."""
     if not preds.items:
         raise ValueError("prediction set is empty")
-    universe = sorted({gold for _, gold, _ in preds.items})
+    gold_count = Counter(g for _, g, _ in preds.items)
+    pred_count = Counter(p for _, _, p in preds.items)
+    hit_count = Counter(g for _, g, p in preds.items if g == p)
     per_class: list[ClassStats] = []
-    for cls in universe:
-        tp = sum(1 for _, g, p in preds.items if g == cls and p == cls)
-        fp = sum(1 for _, g, p in preds.items if g != cls and p == cls)
-        fn = sum(1 for _, g, p in preds.items if g == cls and p != cls)
+    for cls in sorted(gold_count):
+        tp = hit_count[cls]
+        fp = pred_count[cls] - tp
+        fn = gold_count[cls] - tp
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn > 0 else 0.0
@@ -183,24 +207,10 @@ class SweepTable:
 
     def render_text(self) -> str:
         """Aligned table with one row per axis value."""
-        header = [self.axis.value, "Hits@1", "M-P", "M-R", "M-F1", "AVG"]
-        rows = []
-        for cell in self.cells:
-            if cell.report is None:
-                rows.append([str(cell.value), "failed", "-", "-", "-", "-"])
-            else:
-                r = cell.report
-                rows.append([str(cell.value)] + [
-                    f"{v:.4f}" for v in (r.hits_at_1, r.macro_p, r.macro_r,
-                                         r.macro_f1, r.avg)
-                ])
-        widths = [max(len(header[i]), *(len(row[i]) for row in rows))
-                  for i in range(len(header))]
-        def fmt(row):
-            return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        lines = [fmt(header), fmt(["-" * w for w in widths])]
-        lines.extend(fmt(row) for row in rows)
-        return "\n".join(lines)
+        rows = [[str(cell.value)] + (cell.report.metric_cells() if cell.report
+                                     else ["failed", "-", "-", "-", "-"])
+                for cell in self.cells]
+        return render_table((self.axis.value, *METRIC_COLUMNS), rows)
 
 
 def sweep(

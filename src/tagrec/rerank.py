@@ -106,7 +106,6 @@ class GroupAssignment:
 
     groups: tuple[tuple[Candidate, ...], ...]
     drawn: tuple[tuple[Candidate, ...], ...]
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,6 @@ def partition_into_groups(
     group_size: int,
     ordering: Ordering,
     rng: np.random.Generator,
-    iteration: int = 0,
 ) -> GroupAssignment:
     """Randomly split candidates into ceil(n/group_size) disjoint groups.
 
@@ -178,8 +176,7 @@ def partition_into_groups(
         if ordering is Ordering.ORDER_PRESERVING:
             chunk = tuple(sorted(chunk, key=lambda c: c.retrieval_rank))
         groups.append(chunk)
-    return GroupAssignment(groups=tuple(groups), drawn=tuple(drawn),
-                           iteration=iteration)
+    return GroupAssignment(groups=tuple(groups), drawn=tuple(drawn))
 
 
 def rank_group(
@@ -270,8 +267,7 @@ def rerank_record(
     for t in range(1, config.iterations + 1):
         rng = np.random.default_rng([config.seed, t])
         assignment = partition_into_groups(
-            candidates, config.group_size, config.ordering, rng, iteration=t
-        )
+            candidates, config.group_size, config.ordering, rng)
         round_winners: list[Candidate] = []
         replies: list[str | None] = []
         for g_idx, group in enumerate(assignment.groups):

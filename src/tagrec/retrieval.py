@@ -6,12 +6,11 @@ cosine similarities win.  Ties are broken by corpus order (earlier wins) so
 runs are reproducible.  No approximate-nearest-neighbor structure.
 
 The scan works on an :class:`IndexScan`: the index rows cast to float64 and
-their norms, computed once instead of on every query.  ``run_records`` builds
-one per call and drops it when the call returns, so the copy (twice the size
-of the float32 index) lives only while queries run.  It is not cached on
-:class:`VectorIndex`, where it would stay alive as long as the index does,
-across set-ups and idle time.  ``top_k`` also accepts a plain index and then
-builds a throwaway scan, which costs what every query used to cost.
+their norms.  ``run_records`` builds one per call and drops it when the call
+returns, so the copy (twice the size of the float32 index) lives only while
+queries run.  It is not cached on :class:`VectorIndex`, where it would stay
+alive as long as the index does, across set-ups and idle time.  ``top_k``
+also accepts a plain index and then builds a throwaway scan.
 
 The index persists as a flat binary file:
 
@@ -147,6 +146,18 @@ class VectorIndex:
         return cls(tag_ids=tuple(ids), vectors=vecs.astype(np.float32, copy=False))
 
 
+def _embed(embedder: EmbedderBackend, texts: list[str], what: str) -> np.ndarray:
+    """One row per text, or a :class:`BackendError` that names ``what``."""
+    try:
+        vecs = np.asarray(embedder.embed_batch(texts))
+    except Exception as exc:
+        raise BackendError(f"embedding failed for {what}: {exc}") from exc
+    if vecs.ndim != 2 or vecs.shape[0] != len(texts):
+        raise BackendError(
+            f"embedder returned shape {vecs.shape} for {len(texts)} texts")
+    return vecs
+
+
 def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
                 batch_size: int = 64) -> VectorIndex:
     """Embed every tag document and assemble the index in corpus order."""
@@ -157,17 +168,7 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
     vectors: np.ndarray | None = None
     for start in range(0, len(texts), batch_size):
         chunk = texts[start:start + batch_size]
-        try:
-            vecs = np.asarray(embedder.embed_batch(chunk))
-        except Exception as exc:
-            raise BackendError(
-                f"embedding failed for batch starting at tag "
-                f"{ids[start]!r}: {exc}"
-            ) from exc
-        if vecs.ndim != 2 or vecs.shape[0] != len(chunk):
-            raise BackendError(
-                f"embedder returned shape {vecs.shape} for a batch of {len(chunk)}"
-            )
+        vecs = _embed(embedder, chunk, f"batch starting at tag {ids[start]!r}")
         if vectors is None:
             vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32)
         elif vecs.shape[1] != vectors.shape[1]:
@@ -266,12 +267,5 @@ def retrieve(
     """Embed one generated tag document and return its Top-k candidates."""
     if not gen_doc:
         raise ValueError(f"record {record.record_id!r}: gen_doc is empty")
-    try:
-        vecs = np.asarray(embedder.embed_batch([gen_doc]))
-    except Exception as exc:
-        raise BackendError(
-            f"embedding failed for record {record.record_id!r}: {exc}"
-        ) from exc
-    if vecs.ndim != 2 or vecs.shape[0] != 1:
-        raise BackendError(f"embedder returned shape {vecs.shape} for one text")
+    vecs = _embed(embedder, [gen_doc], f"record {record.record_id!r}")
     return top_k(vecs[0], index, k)

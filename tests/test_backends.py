@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tagrec.backends import BackendRequest, CacheEntry, CachingRanker, \
-    FileBackedGenerator, GenerateRequest, HashEmbedder, HttpChatGenerator, \
-    HttpChatRanker, HttpEmbedder, RankRequest, ResponseCache, RetryPolicy, \
-    cache_get, cache_put, embed_batch, generate, rank_listwise
+from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
+    CachingRanker, FileBackedGenerator, GenerateRequest, HashEmbedder, \
+    HttpChatGenerator, HttpChatRanker, HttpEmbedder, RankRequest, \
+    ResponseCache, RetryPolicy, generate, rank_listwise
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import BackendError, CacheConflictError, \
     MissingGenerationError
@@ -39,8 +39,8 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path / "cache")
         entry = CacheEntry(key="ab" * 32, response="hello", created_at=1.0,
                            backend_id="test")
-        cache_put(cache, entry)
-        got = cache_get(cache, entry.key)
+        cache.put(entry)
+        got = cache.get(entry.key)
         assert got is not None and got.response == "hello"
 
     def test_get_before_put_absent(self, tmp_path):
@@ -198,20 +198,6 @@ class TestFileBackedGenerator:
             generate(inp, FileBackedGenerator(), record)
 
 
-class TestEmbedBatchContract:
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            embed_batch([], HashEmbedder(dim=8))
-        with pytest.raises(ValueError):
-            embed_batch(["ok", ""], HashEmbedder(dim=8))
-
-    def test_order_preserved(self):
-        emb = HashEmbedder(dim=16)
-        batch = embed_batch(["one", "two"], emb)
-        assert np.array_equal(batch[0], emb.embed_batch(["one"])[0])
-        assert np.array_equal(batch[1], emb.embed_batch(["two"])[0])
-
-
 # --------------------------------------------------------------------------
 # HTTP backends against a scripted fake session
 
@@ -338,6 +324,44 @@ class TestHttpGenerator:
         assert session.calls[0]["json"]["messages"][-1]["content"] == "input"
 
 
+# Keys of backends without a system prompt, as the code before the system
+# prompt joined the key computed them: warm caches written then still hit.
+PINNED_KEYS = {
+    "rank": "2f266a40a3e5a5a8009df3b4a8370ab2faee632a7083ce2dcd3f751267b4836a",
+    "generate": "755c54513226f3d5db94e5379ed21e5e28a3228be9f7c737a8e9b6524b76ad99",
+    "embed": "cbdc10a5e66da969dfbf56818e5ae817665bc4f1e29dd6b28ee5bd2703baa302",
+}
+
+
+def chat_key(cls, request, model="m1", system=None):
+    backend = cls(model, "http://api.test/v1", system=system,
+                  session=FakeSession([]))
+    return backend.request_of(request).cache_key()
+
+
+class TestChatCacheKeys:
+    @pytest.mark.parametrize("cls,request_", [
+        (HttpChatRanker, RankRequest(prompt="rank these")),
+        (HttpChatGenerator, GenerateRequest(record_id="r", text="input")),
+    ])
+    def test_system_prompt_changes_the_key(self, cls, request_):
+        keys = {chat_key(cls, request_, system=system)
+                for system in (None, "be terse", "be verbose")}
+        assert len(keys) == 3
+        # An empty system prompt sends no system message.
+        assert chat_key(cls, request_, system="") == chat_key(cls, request_)
+
+    def test_keys_without_system_are_unchanged(self):
+        assert chat_key(HttpChatRanker, RankRequest(prompt="rank these")) \
+            == PINNED_KEYS["rank"]
+        assert chat_key(HttpChatGenerator,
+                        GenerateRequest(record_id="r", text="input"),
+                        model="g1") == PINNED_KEYS["generate"]
+        embedder = HttpEmbedder("e1", "http://api.test/v1",
+                                session=FakeSession([]))
+        assert embedder.request_of(["a", "b"]).cache_key() == PINNED_KEYS["embed"]
+
+
 class TestHttpEmbedder:
     def test_vectors_in_input_order(self):
         payload = {"data": [{"embedding": [1.0, 0.0]},
@@ -358,6 +382,19 @@ class TestHttpEmbedder:
                            retry=FAST_RETRY)
         with pytest.raises(BackendError, match="vectors"):
             emb.embed_batch(["a", "b"])
+
+    def test_cached_batch_is_stored_under_the_embedder_key(self, tmp_path):
+        payload = {"data": [{"embedding": [1.0, 0.0]},
+                            {"embedding": [0.0, 1.0]}]}
+        session = FakeSession([FakeResponse(200, payload)])
+        cached = CachingEmbedder(
+            HttpEmbedder("e1", "http://api.test/v1", session=session,
+                         retry=FAST_RETRY),
+            ResponseCache(tmp_path / "cache"))
+        first = cached.embed_batch(["a", "b"])
+        assert np.array_equal(cached.embed_batch(["a", "b"]), first)
+        assert len(session.calls) == 1
+        assert cached.cache.get(PINNED_KEYS["embed"]) is not None
 
 
 class CountingRanker:

@@ -234,6 +234,24 @@ class TestEvaluate:
                        "--dataset", dataset) == 2
         assert "unknown record_id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,where", [
+        ("42", ":2:"),
+        ('["record_id", "predicted_tag_id"]', ":2:"),
+        ('{"record_id": "r001", "predicted_tag_id": null}', ":2:"),
+        ('{"record_id": "r001", "predicted_tag_id": ""}', ": record"),
+        ('{"record_id": "r000", "predicted_tag_id": "Revenues"}', ": duplicate"),
+    ])
+    def test_bad_prediction_line_is_a_config_error(self, tmp_path, capsys,
+                                                   line, where):
+        dataset = write_dataset(tmp_path / "data.jsonl", make_records(2))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"record_id": "r000",
+                                     "predicted_tag_id": "Revenues"})
+                         + "\n" + line + "\n")
+        assert run_cli("evaluate", "--predictions", preds,
+                       "--dataset", dataset) == 2
+        assert f"error: {preds}{where}" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_iterations_thirteen_rows(self, workspace, capsys):
@@ -306,6 +324,21 @@ class TestBackendSpecs:
             _build_generator("telepathy")
         with pytest.raises(ConfigError):
             _build_ranker("psychic", seed=0)
+
+    def test_cache_wraps_every_backend_that_builds_keys(self, tmp_path):
+        from tagrec import backends as be
+        from tagrec.cli import _build_ranker, _wrap_with_cache
+        generator, embedder = be.FileBackedGenerator(), be.HashEmbedder(8)
+        http_embedder = be.HttpEmbedder("e", "http://api.test/v1")
+        ranker = _build_ranker("perfect", seed=0)
+        assert _wrap_with_cache({}, generator, http_embedder, ranker) == (
+            generator, http_embedder, ranker)
+        settings = {"cache_dir": str(tmp_path / "cache")}
+        wrapped = _wrap_with_cache(settings, generator, http_embedder, ranker)
+        assert [type(b) for b in wrapped] == [
+            be.FileBackedGenerator, be.CachingEmbedder, be.CachingRanker]
+        assert _wrap_with_cache(settings, generator, embedder, ranker)[1] \
+            is embedder
 
     def test_oracle_ranker_seeded_from_run_seed(self):
         from tagrec.cli import _build_ranker

@@ -309,6 +309,30 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="gen_doc"):
             retrieve(record, "", index, embedder, k=2)
 
+    @pytest.mark.parametrize("reply,match", [
+        (RuntimeError("service down"), "embedding failed for {what}: service down"),
+        (np.ones((2, 8)), r"returned shape \(2, 8\) for {n} texts"),
+        (np.ones(8), r"returned shape \(8,\) for {n} texts"),
+    ])
+    def test_bad_embedder_output_is_a_backend_error(self, ten_tag_corpus,
+                                                    reply, match):
+        class BadEmbedder:
+            backend_id = "bad"
+
+            def embed_batch(self, texts):
+                if isinstance(reply, Exception):
+                    raise reply
+                return reply
+
+        with pytest.raises(BackendError, match=match.format(
+                what="batch starting at tag 'Revenues'", n=10)):
+            build_index(ten_tag_corpus, BadEmbedder())
+        index = build_index(ten_tag_corpus, HashEmbedder(dim=8))
+        record = make_records(1)[0]
+        with pytest.raises(BackendError, match=match.format(
+                what=f"record '{record.record_id}'", n=1)):
+            retrieve(record, "some generated text", index, BadEmbedder(), k=2)
+
     def test_taxonomy_scale_top_10(self):
         # full-taxonomy-sized index: 2794 entries, still an instant scan
         rng = np.random.default_rng(2794)
