@@ -40,6 +40,7 @@ from typing import Protocol
 
 import numpy as np
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .corpus import NumeralRecord
 from .errors import BackendError, CacheConflictError, MissingGenerationError
@@ -257,6 +258,9 @@ class RateLimiter:
     """Caps in-flight requests and enforces a minimum inter-request gap."""
 
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        self.max_in_flight = max_in_flight
         self._sem = threading.Semaphore(max_in_flight)
         self._min_interval = min_interval
         self._lock = threading.Lock()
@@ -352,7 +356,15 @@ class _HttpClient:
         self.retry = retry or RetryPolicy()
         self.limiter = limiter or RateLimiter()
         self.timeout = timeout
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            # One pooled connection per call the limiter lets through, so
+            # none is thrown away when more than urllib3's 10 are in flight.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=max(self.limiter.max_in_flight,
+                                                   DEFAULT_POOLSIZE))
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
         self._sleep = sleep
 
     def post_json(self, path: str, body: dict) -> dict:
@@ -406,6 +418,11 @@ class _HttpChat:
         self.system = system
         self._client = _HttpClient(self.role, base_url, **client_kwargs)
         self.backend_id = f"http-{self.role}:{model}"
+
+    @property
+    def max_in_flight(self) -> int:
+        """The rate limiter's cap on calls in flight."""
+        return self._client.limiter.max_in_flight
 
     def request_of(self, request) -> BackendRequest:
         params = (("temperature", repr(self.temperature)),)
@@ -508,16 +525,43 @@ class _Counter:
 
 
 class _CachingBase:
-    """Consult the cache first; on a miss call through and store the reply."""
+    """Consult the cache first; on a miss call through and store the reply.
+
+    Calls with one key take turns: a call whose key is already in flight
+    waits for that reply and reads it from the cache, so concurrent copies
+    of one request make one backend call, as they would one after another,
+    and a backend that answers differently each time raises no
+    :class:`CacheConflictError`.
+    """
 
     def __init__(self, inner, cache: ResponseCache):
         self.inner = inner
         self.cache = cache
         self.counter = _Counter()
         self.backend_id = f"cached({inner.backend_id})"
+        self._guard = threading.Lock()
+        self._turns: dict[str, list] = {}  # key -> [lock, callers holding it]
+
+    @property
+    def max_in_flight(self) -> int | None:
+        """The wrapped backend's cap on calls in flight, if it has one."""
+        return getattr(self.inner, "max_in_flight", None)
 
     def _cached_call(self, request: BackendRequest, call) -> str:
         key = request.cache_key()
+        with self._guard:
+            turn = self._turns.setdefault(key, [threading.Lock(), 0])
+            turn[1] += 1
+        try:
+            with turn[0]:
+                return self._get_or_call(key, call)
+        finally:
+            with self._guard:
+                turn[1] -= 1
+                if not turn[1]:
+                    del self._turns[key]
+
+    def _get_or_call(self, key: str, call) -> str:
         entry = self.cache.get(key)
         if entry is not None:
             self.counter.record(hit=True)

@@ -49,7 +49,7 @@ DEFAULTS = {
     "ordering": "order-preserving",
     "vote_mode": "per-group",
     "seed": 0,
-    "concurrency": 1,
+    "concurrency": None,  # None: the ranker's max_in_flight, or 1
 }
 
 
@@ -155,10 +155,13 @@ def _http_client_kwargs(doc: dict) -> dict:
         )
     rate_limit = doc.get("rate_limit")
     if rate_limit is not None:
-        kwargs["limiter"] = be.RateLimiter(
-            max_in_flight=int(rate_limit.get("max_in_flight", 4)),
-            min_interval=float(rate_limit.get("min_interval", 0.0)),
-        )
+        try:
+            kwargs["limiter"] = be.RateLimiter(
+                max_in_flight=int(rate_limit.get("max_in_flight", 4)),
+                min_interval=float(rate_limit.get("min_interval", 0.0)),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"rate_limit: {exc}") from None
     return kwargs
 
 
@@ -258,6 +261,13 @@ def _load_or_build_index(settings: dict, corpus, embedder,
                 f"index {index_path} does not match the taxonomy "
                 "(rebuild with embed-index)"
             )
+        dim = getattr(embedder, "dim", None)
+        if dim is not None and dim != index.dim:
+            raise ConfigError(
+                f"index {index_path} holds {index.dim}-dimensional vectors "
+                f"but the embedder makes {dim}-dimensional ones "
+                "(rebuild with embed-index)"
+            )
         return index
     index = build_index(corpus, embedder)
     if index_path and persist_missing:
@@ -315,6 +325,11 @@ def _manifest(settings: dict, instruction: str, backend_ids: dict,
     }
 
 
+def _concurrency(settings: dict) -> int | None:
+    value = settings["concurrency"]
+    return None if value is None else int(value)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     config = _rerank_config(settings)
@@ -325,7 +340,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_records(
         records, corpus, index, generator=generator, embedder=embedder,
         ranker=ranker, config=config, instruction=instruction,
-        concurrency=int(settings["concurrency"]),
+        concurrency=_concurrency(settings),
     )
 
     predictions_path = Path(settings["predictions_out"])
@@ -430,7 +445,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = run_sweep(
         records, corpus, index, generator=generator, embedder=embedder,
         ranker=ranker, template=template, instruction=instruction,
-        axis=axis, values=values, concurrency=int(settings["concurrency"]),
+        axis=axis, values=values, concurrency=_concurrency(settings),
     )
     print(table.render_text())
     if args.out:
@@ -511,7 +526,9 @@ def _add_common_flags(parser: argparse.ArgumentParser,
         parser.add_argument("--instruction-path", dest="instruction_path",
                             help="generation instruction template file")
         parser.add_argument("--concurrency", type=int,
-                            help="record-level worker count")
+                            help="records worked on at a time (default: "
+                                 "the ranker's rate_limit.max_in_flight, "
+                                 "or 1 for an in-process ranker)")
     if rerank:
         parser.add_argument("--top-k", dest="top_k", type=int,
                             help="retrieval depth")

@@ -6,7 +6,12 @@ taxonomy documents, and run the tournament re-ranking to pick the final tag.
 Records are independent, so a worker pool may process them concurrently;
 every record re-ranks with a seed derived from (run seed, record_id), so
 results do not depend on worker scheduling, and outputs are ordered by
-record_id regardless of completion order.
+record_id regardless of completion order.  By default a run works on as
+many records at a time as the ranker lets calls be in flight
+(``max_in_flight``, which remote rankers take from their rate limiter), so
+a remote ranker is kept busy up to its cap; a ranker without a cap, such as
+an in-process oracle, gets one record at a time.  A record's own ranker
+calls are made one after another.
 
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
@@ -120,13 +125,18 @@ def run_records(
     ranker: RankerBackend,
     config: RerankConfig,
     instruction: str,
-    concurrency: int = 1,
+    concurrency: int | None = None,
 ) -> RunResult:
     """Run the full pipeline over a dataset.
 
-    The index is prepared for scanning once per call; the scan is dropped
-    when the call returns (see :mod:`tagrec.retrieval`).
+    ``concurrency`` is the number of records worked on at a time; ``None``
+    takes the ranker's ``max_in_flight``, or 1 for a ranker without one.
+    The index is prepared for scanning (see :mod:`tagrec.retrieval`) and
+    the worker pool is made once per call; both are dropped before the call
+    returns.
     """
+    if concurrency is None:
+        concurrency = getattr(ranker, "max_in_flight", None) or 1
     if config.top_k > len(index):
         raise ConfigError(
             f"top_k={config.top_k} exceeds the index size {len(index)}"
@@ -151,7 +161,8 @@ def run_records(
     if concurrency == 1:
         outcomes = [work(r) for r in records]
     else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        with ThreadPoolExecutor(max_workers=concurrency,
+                                thread_name_prefix="tagrec-record") as pool:
             outcomes = list(pool.map(work, records))
 
     predictions: list[dict] = []
@@ -196,7 +207,7 @@ def run_sweep(
     instruction: str,
     axis: SweepAxis,
     values: Sequence[object],
-    concurrency: int = 1,
+    concurrency: int | None = None,
 ) -> SweepTable:
     """One pipeline evaluation per axis value; failed cells do not abort."""
 

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import requests
 
 from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
     CachingRanker, FileBackedGenerator, GenerateRequest, HashEmbedder, \
     HttpChatGenerator, HttpChatRanker, HttpEmbedder, RankRequest, \
-    ResponseCache, RetryPolicy, generate, rank_listwise
+    RateLimiter, ResponseCache, RetryPolicy, generate, rank_listwise
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import BackendError, CacheConflictError, \
     MissingGenerationError
 from tagrec.prompting import assemble_generation_input
 from tagrec.retrieval import cosine_similarity
+from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 
 class TestBackendRequest:
@@ -484,6 +486,43 @@ class TestRateLimiter:
         for t in threads:
             t.join()
         assert max(peak) <= 2
+
+
+class TestInFlightCap:
+    def test_limiter_rejects_a_cap_below_one(self):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            RateLimiter(max_in_flight=0)
+
+    def test_http_ranker_exposes_its_limiter_cap(self, tmp_path):
+        ranker = HttpChatRanker("m", "http://x", session=FakeSession([]),
+                                limiter=RateLimiter(max_in_flight=7))
+        assert ranker.max_in_flight == 7
+        assert HttpChatRanker("m", "http://x",
+                              session=FakeSession([])).max_in_flight == 4
+        cached = CachingRanker(ranker, ResponseCache(tmp_path / "cache"))
+        assert cached.max_in_flight == 7
+
+    def test_in_process_rankers_have_no_cap(self, tmp_path):
+        oracle = OracleRanker(OracleSpec(OracleKind.PERFECT))
+        assert getattr(oracle, "max_in_flight", None) is None
+        cached = CachingRanker(CountingRanker(), ResponseCache(tmp_path / "c"))
+        assert cached.max_in_flight is None
+
+    @pytest.mark.parametrize("cap, pool_size", [(4, 10), (10, 10), (32, 32)])
+    def test_own_session_pools_a_connection_per_call_in_flight(self, cap,
+                                                               pool_size):
+        ranker = HttpChatRanker("m", "https://x",
+                                limiter=RateLimiter(max_in_flight=cap))
+        session = ranker._client.session
+        for url in ("http://x/v1", "https://x/v1"):
+            assert session.get_adapter(url)._pool_maxsize == pool_size
+
+    def test_callers_session_is_left_alone(self):
+        session = requests.Session()
+        adapters = dict(session.adapters)
+        HttpChatRanker("m", "http://x", session=session,
+                       limiter=RateLimiter(max_in_flight=32))
+        assert session.adapters == adapters
 
 
 class TestCachingRanker:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -169,6 +171,78 @@ class TestRun:
                        "--ranker", "perfect",
                        "--predictions-out", tmp / "p.jsonl")
         assert code == 0
+
+    def test_prebuilt_index_of_another_dimension_is_rejected(self, workspace,
+                                                             capsys):
+        tmp, taxonomy, dataset = workspace
+        index_path = tmp / "tags.idx"
+        assert run_cli("embed-index", "--taxonomy", taxonomy,
+                       "--index", index_path, "--embedder", "hash:64") == 0
+        code = run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--index", index_path, "--embedder", "hash:256",
+                       "--ranker", "perfect",
+                       "--predictions-out", tmp / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "64" in err and "256" in err
+        assert not (tmp / "p.jsonl").exists()
+
+    def test_http_ranker_keeps_to_its_rate_limit(self, workspace,
+                                                 monkeypatch):
+        """Records overlap, but never more than max_in_flight calls do."""
+        class FakeSession:
+            lock = threading.Lock()
+            active = peak = calls = 0
+
+            def mount(self, prefix, adapter):
+                pass
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                cls = FakeSession
+                with cls.lock:
+                    cls.calls += 1
+                    cls.active += 1
+                    cls.peak = max(cls.peak, cls.active)
+                time.sleep(0.005)
+                with cls.lock:
+                    cls.active -= 1
+                return Reply()
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                content = "[2] > [1] > [3] > [4] > [5]"
+                return {"choices": [{"message": {"content": content}}]}
+
+        monkeypatch.setattr("requests.Session", FakeSession)
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "embedder": "hash:64",
+            "ranker": {"kind": "http", "model": "m",
+                       "base_url": "http://ranker.invalid/v1",
+                       "rate_limit": {"max_in_flight": 2}},
+            "predictions_out": str(tmp / "p.jsonl"),
+        }))
+        assert run_cli("run", "--config", config) == 0
+        assert FakeSession.calls == 5 * 8 * 2
+        assert FakeSession.peak == 2
+        preds = [json.loads(x) for x in (tmp / "p.jsonl").read_text().splitlines()]
+        assert len(preds) == 5
+
+    def test_rate_limit_of_zero_is_a_config_error(self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "ranker": {"kind": "http", "model": "m",
+                       "base_url": "http://ranker.invalid/v1",
+                       "rate_limit": {"max_in_flight": 0}},
+        }))
+        assert run_cli("run", "--config", config) == 2
+        assert "max_in_flight" in capsys.readouterr().err
 
 
 class TestEvaluate:

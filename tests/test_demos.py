@@ -15,10 +15,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR: demo 05 makes its scratch directory with mkdtemp.
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    # TMPDIR: demo 05 makes its scratch directory there, and removes it.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == []
