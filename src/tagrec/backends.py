@@ -72,6 +72,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Requests and cache keys
 
+# Built once: ``json.dumps`` with options builds an encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                   separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class BackendRequest:
@@ -93,8 +97,7 @@ class BackendRequest:
             "params": [[k, v] for k, v in self.params],
             "payload": self.payload,
         }
-        return json.dumps(doc, sort_keys=True, ensure_ascii=False,
-                          separators=(",", ":")).encode("utf-8")
+        return _CANONICAL_JSON.encode(doc).encode("utf-8")
 
     def cache_key(self) -> str:
         return hashlib.sha256(self.canonical()).hexdigest()
@@ -123,35 +126,39 @@ class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / key[2:4] / f"{key}.json"
+    def _dir(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key[2:4]}"
 
     def get(self, key: str) -> CacheEntry | None:
-        path = self._path(key)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            with open(f"{self._dir(key)}/{key}.json", "rb") as fh:
+                doc = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError:
             return None
         return CacheEntry(key=doc["key"], response=doc["response"],
                           created_at=doc["created_at"], backend_id=doc["backend_id"])
 
     def put(self, entry: CacheEntry) -> None:
-        path = self._path(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
+        parent = self._dir(entry.key)
+        data = json.dumps({
             "key": entry.key,
             "response": entry.response,
             "created_at": entry.created_at,
             "backend_id": entry.backend_id,
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        }, ensure_ascii=False).encode("utf-8")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, ensure_ascii=False)
+            fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+        except FileNotFoundError:  # the entry's directory is made on demand
+            os.makedirs(parent, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data)
             # Exclusive create of the complete file: of several writers of
             # one key exactly one links, and the others compare with it.
-            os.link(tmp, path)
+            os.link(tmp, f"{parent}/{entry.key}.json")
             return
         except FileExistsError:
             existing = self.get(entry.key)
@@ -306,15 +313,16 @@ class HashEmbedder:
         return int.from_bytes(digest[:8], "big") % self.dim
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in enumerate(texts):
-            tokens = text.lower().split()
-            if not tokens:
-                raise BackendError("cannot embed a whitespace-only text")
-            for token in tokens:
-                out[row, self._bucket(token)] += 1.0
-            out[row] /= np.linalg.norm(out[row])
-        return out
+        token_lists = [text.lower().split() for text in texts]
+        if not all(token_lists):
+            raise BackendError("cannot embed a whitespace-only text")
+        # One hash per distinct token; integer counts make every norm exact.
+        bucket = {t: self._bucket(t) for tokens in token_lists for t in tokens}
+        cells = [row * self.dim + bucket[t]
+                 for row, tokens in enumerate(token_lists) for t in tokens]
+        out = np.bincount(cells, minlength=len(texts) * self.dim).astype(np.float64)
+        out = out.reshape(len(texts), self.dim)
+        return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
 
 
 class FileBackedGenerator:

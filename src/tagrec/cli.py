@@ -261,13 +261,6 @@ def _load_or_build_index(settings: dict, corpus, embedder,
                 f"index {index_path} does not match the taxonomy "
                 "(rebuild with embed-index)"
             )
-        dim = getattr(embedder, "dim", None)
-        if dim is not None and dim != index.dim:
-            raise ConfigError(
-                f"index {index_path} holds {index.dim}-dimensional vectors "
-                f"but the embedder makes {dim}-dimensional ones "
-                "(rebuild with embed-index)"
-            )
         return index
     index = build_index(corpus, embedder)
     if index_path and persist_missing:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+from .errors import ConfigError
+
 __all__ = [
     "PredictionSet",
     "ClassStats",
@@ -222,7 +224,7 @@ def sweep(
 
     ``runner`` maps an axis value to an :class:`EvalReport` (typically by
     running the pipeline with that single field overridden).  A failing cell
-    is marked and the sweep continues.
+    is marked and the sweep continues; a :class:`ConfigError` aborts it.
     """
     if not values:
         raise ValueError("values must be non-empty")
@@ -230,6 +232,8 @@ def sweep(
     for value in values:
         try:
             cells.append(SweepCell(value=value, report=runner(value)))
+        except ConfigError:  # systemic: every cell would fail alike
+            raise
         except Exception as exc:  # per-cell isolation is the contract
             cells.append(SweepCell(value=value, report=None, error=str(exc)))
     return SweepTable(axis=axis, cells=tuple(cells))

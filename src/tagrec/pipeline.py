@@ -15,7 +15,8 @@ calls are made one after another.
 
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
-the run only fails on systemic problems (bad config, unusable index).
+the run only fails on systemic problems, raised as :class:`ConfigError` (bad
+config, unusable index, an embedder whose vectors do not fit the index).
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def run_records(
                 record, corpus_texts, scan, generator, embedder, ranker,
                 config, instruction,
             )
+        except ConfigError:
+            raise
         except Exception as exc:
             return record.record_id, ("failed", None, None, str(exc))
 

@@ -17,6 +17,7 @@ layer then falls back to the presented order.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -72,6 +73,12 @@ def assemble_generation_input(instruction: str, record: NumeralRecord) -> Assemb
     return AssembledInput(text=text, record_id=record.record_id)
 
 
+@lru_cache(maxsize=8)
+def _template_pieces(template: str) -> tuple[str, ...]:
+    """Literal text and placeholder names, alternating: one ``re.sub`` pass."""
+    return tuple(_PLACEHOLDER_RE.split(template))
+
+
 @lru_cache(maxsize=None)
 def _read_packaged(name: str) -> str:
     return resources.files("tagrec.templates").joinpath(name).read_text(encoding="utf-8")
@@ -114,8 +121,9 @@ def build_rerank_prompt(
         template = default_rerank_template()
     passages = "\n".join(f"[{i}] {doc.text}" for i, doc in enumerate(group, start=1))
     values = {"n": str(len(group)), "gen_doc": gen_doc, "passages": passages}
-    # One pass over the template: substituted text is never searched again.
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+    pieces = list(_template_pieces(template))
+    pieces[1::2] = [values[name] for name in pieces[1::2]]
+    return "".join(pieces)
 
 
 def parse_ranking_reply(raw: str, group_len: int) -> RankingReply:
@@ -129,21 +137,22 @@ def parse_ranking_reply(raw: str, group_len: int) -> RankingReply:
     """
     if group_len < 1:
         raise ValueError("group_len must be >= 1")
+    width = len(str(group_len))
     seen: set[int] = set()
     order: list[int] = []
-    for match in _IDENTIFIER_RE.finditer(raw):
-        ident = int(match.group(1))
-        if not 1 <= ident <= group_len:
-            continue
-        if ident in seen:
-            continue
-        seen.add(ident)
-        order.append(ident)
+    for digits in _IDENTIFIER_RE.findall(raw):
+        if len(digits) > width:
+            # Too long unless zero-padded; never int() thousands of digits.
+            digits = "".join(str(unicodedata.decimal(d)) for d in digits).lstrip("0")
+            if len(digits) > width:
+                continue
+        ident = int(digits or 0)
+        if 1 <= ident <= group_len and ident not in seen:
+            seen.add(ident)
+            order.append(ident)
     if not order:
         raise UnparseableReplyError(
             f"no identifier in 1..{group_len} found in reply: {raw!r:.200}"
         )
-    for ident in range(1, group_len + 1):
-        if ident not in seen:
-            order.append(ident)
+    order.extend(i for i in range(1, group_len + 1) if i not in seen)
     return RankingReply(order=tuple(order), raw=raw)

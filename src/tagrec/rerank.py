@@ -18,6 +18,11 @@ coincide.
 Everything is driven by one record-scoped seed: round ``t`` partitions with
 an RNG keyed by ``(seed, t)``, so traces replay bit-identically and rounds
 are prefix-stable (the first 4 rounds of an 8-round run equal a 4-round run).
+
+:func:`rerank_record` plans every round's partition up front, plays each
+group through :func:`rank_group` in plan order on the caller's thread, with
+one document per candidate, and tallies votes and trace once after the last
+call (tournament ranking as in TourRank, Chen et al., 2024).
 """
 
 from __future__ import annotations
@@ -166,8 +171,7 @@ def partition_into_groups(
         raise ValueError("group_size must be >= 1")
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    perm = rng.permutation(len(candidates))
-    shuffled = [candidates[int(i)] for i in perm]
+    shuffled = [candidates[i] for i in rng.permutation(len(candidates)).tolist()]
     drawn: list[tuple[Candidate, ...]] = []
     groups: list[tuple[Candidate, ...]] = []
     for start in range(0, len(shuffled), group_size):
@@ -186,23 +190,29 @@ def rank_group(
     texts: Mapping[str, str],
     record_id: str = "",
     gold_tag_id: str | None = None,
+    docs: dict[str, TagDocument] | None = None,
 ) -> GroupOutcome:
     """Obtain one group's winner from the listwise ranker.
 
     A singleton group wins by default with no backend call.  An unparseable
     reply falls back to the first presented member (the retrieval-order
-    prior) and flags the outcome.
+    prior) and flags the outcome.  ``docs`` keeps members' documents across
+    calls: with one dict per record, each is built and validated once.
     """
     if not group:
         raise ValueError("group must be non-empty")
     if len(group) == 1:
         return GroupOutcome(winner=group[0], raw_reply=None, fallback=False)
-    docs = [TagDocument(tag_id=c.tag_id, text=texts[c.tag_id]) for c in group]
-    prompt = build_rerank_prompt(gen_doc, docs)
+    docs = {} if docs is None else docs
+    for c in group:
+        if c.tag_id not in docs:
+            docs[c.tag_id] = TagDocument(tag_id=c.tag_id, text=texts[c.tag_id])
+    members = [docs[c.tag_id] for c in group]
+    prompt = build_rerank_prompt(gen_doc, members)
     request = RankRequest(
         prompt=prompt,
         gen_doc=gen_doc,
-        items=tuple((d.tag_id, d.text) for d in docs),
+        items=tuple((d.tag_id, d.text) for d in members),
         record_id=record_id,
         gold_tag_id=gold_tag_id,
     )
@@ -261,36 +271,42 @@ def rerank_record(
         raise ValueError(
             f"expected {config.top_k} candidates, got {len(candidates)}"
         )
+    # Plan: every round's partition, drawn up front.
+    rounds = tuple(partition_into_groups(candidates, config.group_size, config.ordering,
+                                         np.random.default_rng([config.seed, t]))
+                   for t in range(1, config.iterations + 1))
+    # Play: each planned group in plan order, on this thread.
+    docs: dict[str, TagDocument] = {}
+    outcomes = [[rank_group(gen_doc, group, ranker, texts, record_id=record_id,
+                            gold_tag_id=gold_tag_id, docs=docs)
+                 for group in assignment.groups]
+                for assignment in rounds]
+    return _tally(candidates, rounds, outcomes, config.vote_mode, record_id)
+
+
+def _tally(candidates: Sequence[Candidate], rounds: Sequence[GroupAssignment],
+           outcomes: list[list[GroupOutcome]], vote_mode: VoteMode,
+           record_id: str) -> tuple[str, RerankTrace]:
     winners_per_iteration: list[list[str]] = []
     iteration_traces: list[dict] = []
     fallback_events: list[dict] = []
-    for t in range(1, config.iterations + 1):
-        rng = np.random.default_rng([config.seed, t])
-        assignment = partition_into_groups(
-            candidates, config.group_size, config.ordering, rng)
-        round_winners: list[Candidate] = []
-        replies: list[str | None] = []
-        for g_idx, group in enumerate(assignment.groups):
-            outcome = rank_group(gen_doc, group, ranker, texts,
-                                 record_id=record_id, gold_tag_id=gold_tag_id)
-            round_winners.append(outcome.winner)
-            replies.append(outcome.raw_reply)
-            if outcome.fallback:
-                fallback_events.append(
-                    {"iteration": t, "group": g_idx,
-                     "reason": "unparseable-reply"}
-                )
-        if config.vote_mode is VoteMode.PER_ROUND:
-            champion = min(round_winners, key=lambda c: c.retrieval_rank)
+    for t, (assignment, played) in enumerate(zip(rounds, outcomes), start=1):
+        winners = [o.winner.tag_id for o in played]
+        if vote_mode is VoteMode.PER_ROUND:
+            champion = min((o.winner for o in played),
+                           key=lambda c: c.retrieval_rank)
             winners_per_iteration.append([champion.tag_id])
         else:
-            winners_per_iteration.append([w.tag_id for w in round_winners])
+            winners_per_iteration.append(winners)
+        fallback_events.extend(
+            {"iteration": t, "group": g_idx, "reason": "unparseable-reply"}
+            for g_idx, o in enumerate(played) if o.fallback)
         iteration_traces.append({
             "iteration": t,
             "partition": [[c.tag_id for c in g] for g in assignment.drawn],
             "presented": [[c.tag_id for c in g] for g in assignment.groups],
-            "replies": replies,
-            "winners": [w.tag_id for w in round_winners],
+            "replies": [o.raw_reply for o in played],
+            "winners": winners,
         })
     tally = tally_votes(winners_per_iteration)
     predicted = select_prediction(tally, candidates)

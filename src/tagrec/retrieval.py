@@ -33,7 +33,7 @@ from typing import Protocol
 import numpy as np
 
 from .corpus import NumeralRecord, TaxonomyCorpus
-from .errors import BackendError
+from .errors import BackendError, ConfigError
 
 __all__ = [
     "Candidate",
@@ -268,4 +268,7 @@ def retrieve(
     if not gen_doc:
         raise ValueError(f"record {record.record_id!r}: gen_doc is empty")
     vecs = _embed(embedder, [gen_doc], f"record {record.record_id!r}")
+    if vecs.shape[1] != index.dim:
+        raise ConfigError(f"the embedder makes {vecs.shape[1]}-dimensional vectors "
+                          f"but the index holds {index.dim}-dimensional ones")
     return top_k(vecs[0], index, k)

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +73,14 @@ class OracleSpec:
         return self.kind.value
 
 
+_REQUEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
+@lru_cache(maxsize=256)  # a record's gen_doc and candidates, with room
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset(text.lower().split())
+
+
 def _call_rng(spec: OracleSpec, record_id: str, gen_doc: str,
               group: Sequence[tuple[str, str]]) -> np.random.Generator:
     # One RNG per distinct call, keyed by content: identical calls repeat
@@ -99,9 +108,8 @@ def oracle_rank(
         return identity
 
     if spec.kind is OracleKind.LEXICAL:
-        query_tokens = set(gen_doc.lower().split())
-        overlaps = [len(query_tokens & set(text.lower().split()))
-                    for _, text in group]
+        query_tokens = _token_set(gen_doc)
+        overlaps = [len(query_tokens & _token_set(text)) for _, text in group]
         order = sorted(range(n), key=lambda i: (-overlaps[i], i))
         return tuple(i + 1 for i in order)
 
@@ -133,11 +141,9 @@ class OracleRanker:
     def request_of(self, request: RankRequest) -> BackendRequest:
         # Oracles see gold and group structure, so those join the cache key
         # (unlike remote rankers, whose replies depend on the prompt alone).
-        payload = json.dumps(
+        payload = _REQUEST_JSON.encode(
             {"prompt": request.prompt, "record_id": request.record_id,
-             "items": list(request.items), "gold": request.gold_tag_id},
-            sort_keys=True, ensure_ascii=False,
-        )
+             "items": list(request.items), "gold": request.gold_tag_id})
         return BackendRequest(kind="rank", payload=payload,
                               model_id=self.backend_id)
 

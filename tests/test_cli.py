@@ -186,6 +186,54 @@ class TestRun:
         err = capsys.readouterr().err
         assert "64" in err and "256" in err
         assert not (tmp / "p.jsonl").exists()
+        code = run_cli("sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--index", index_path, "--embedder", "hash:256",
+                       "--ranker", "perfect", "--axis", "iterations",
+                       "--values", "1,2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "64" in err and "256" in err
+
+    def test_http_embedder_of_another_width_than_the_index_exits_2(
+            self, workspace, capsys, monkeypatch):
+        """Found from the first query vector, with no extra request."""
+        class FakeSession:
+            calls = 0
+
+            def mount(self, prefix, adapter):
+                pass
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                FakeSession.calls += 1
+                return Reply(len(json["input"]))
+
+        class Reply:
+            status_code = 200
+
+            def __init__(self, n):
+                self.n = n
+
+            def json(self):
+                return {"data": [{"embedding": [0.5] * 32}] * self.n}
+
+        monkeypatch.setattr("requests.Session", FakeSession)
+        tmp, taxonomy, dataset = workspace
+        index_path = tmp / "tags.idx"
+        assert run_cli("embed-index", "--taxonomy", taxonomy,
+                       "--index", index_path, "--embedder", "hash:64") == 0
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "index": str(index_path), "ranker": "perfect",
+            "embedder": {"kind": "http", "model": "e",
+                         "base_url": "http://embedder.invalid/v1"},
+            "predictions_out": str(tmp / "p.jsonl"),
+        }))
+        assert run_cli("run", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "32-dimensional" in err and "64-dimensional" in err
+        assert FakeSession.calls == 1
+        assert not (tmp / "p.jsonl").exists()
 
     def test_http_ranker_keeps_to_its_rate_limit(self, workspace,
                                                  monkeypatch):

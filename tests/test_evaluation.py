@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from tagrec.errors import ConfigError
 from tagrec.evaluation import PredictionSet, SweepAxis, \
     evaluate_predictions, hits_at_1, macro_metrics, sweep
 
@@ -174,6 +175,13 @@ class TestSweep:
         table = sweep(SweepAxis.ITERATIONS, [1, 2, 3], runner)
         assert [c.failed for c in table.cells] == [False, True, False]
         assert "cell exploded" in table.cells[1].error
+
+    def test_config_error_aborts_the_sweep(self):
+        def runner(value):
+            raise ConfigError("the embedder does not fit the index")
+
+        with pytest.raises(ConfigError, match="does not fit"):
+            sweep(SweepAxis.ITERATIONS, [1, 2], runner)
 
     def test_render_text_shape(self):
         table = sweep(SweepAxis.ITERATIONS, [1, 2],

@@ -96,6 +96,14 @@ class TestRunRecords:
             run(parts, make_records(2),
                 config=RerankConfig(top_k=11, group_size=5))
 
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_embedder_of_another_width_than_the_index_is_systemic(
+            self, parts, concurrency):
+        corpus, index, _ = parts
+        with pytest.raises(ConfigError, match="32-dimensional.*64-dimensional"):
+            run((corpus, index, HashEmbedder(dim=32)), make_records(5),
+                concurrency=concurrency)
+
     def test_gold_in_top_k_rate(self, parts):
         result = run(parts, make_records(5))
         assert result.gold_in_top_k_rate() == 1.0

@@ -147,6 +147,16 @@ class TestParseReply:
         with pytest.raises(UnparseableReplyError):
             parse_ranking_reply("[99] and [0]", 3)
 
+    def test_identifier_of_thousands_of_digits_is_out_of_range(self):
+        reply = parse_ranking_reply("[2] > [" + "9" * 5000 + "] > [1]", 3)
+        assert reply.order == (2, 1, 3)
+        with pytest.raises(UnparseableReplyError):
+            parse_ranking_reply("[" + "1" * 5000 + "]", 3)
+
+    def test_zero_padded_identifier_stays_in_range(self):
+        reply = parse_ranking_reply("[" + "0" * 5000 + "3] > [0] > [01]", 3)
+        assert reply.order == (3, 1, 2)
+
     def test_group_len_validation(self):
         with pytest.raises(ValueError):
             parse_ranking_reply("[1]", 0)

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tagrec import rerank as rerank_module
+from tagrec.corpus import TagDocument
 from tagrec.rerank import Ordering, RerankConfig, VoteMode, derive_seed, \
     partition_into_groups, rank_group, rerank_record, select_prediction, \
     tally_votes
@@ -143,6 +146,71 @@ class TestRankGroup:
         assert outcome.winner.tag_id == "c1"
         assert outcome.fallback
         assert outcome.raw_reply == "I cannot rank these, sorry."
+
+    def test_huge_identifier_in_a_reply_is_repaired(self):
+        class HugeRanker:
+            backend_id = "huge"
+
+            def rank_listwise(self, request):
+                return "[2] > [" + "9" * 5000 + "] > [1]"
+
+        cands = candidates_of(3)
+        outcome = rank_group("gen", cands, HugeRanker(), texts_of(cands))
+        assert outcome.winner.tag_id == "c2"
+        assert not outcome.fallback
+
+
+class RecordingRanker:
+    """Lexical oracle that records each call's presented ids and thread."""
+
+    backend_id = "recording"
+
+    def __init__(self):
+        self.inner = OracleRanker(OracleSpec(OracleKind.LEXICAL))
+        self.calls = []
+
+    def rank_listwise(self, request):
+        self.calls.append(([t for t, _ in request.items],
+                           threading.get_ident()))
+        return self.inner.rank_listwise(request)
+
+
+class TestPlanPlayTally:
+    @pytest.mark.parametrize("group_size", [2, 3, 5, 10])
+    def test_every_group_is_ranked_once_in_plan_order_on_the_caller(
+            self, group_size):
+        candidates, texts, _ = synthetic_candidates(10, 3)
+        ranker = RecordingRanker()
+        config = RerankConfig(group_size=group_size, seed=9)
+        _, trace = rerank_record("synthetic tag", candidates, texts, config,
+                                 ranker, record_id="r")
+        planned = [group for it in trace.iterations
+                   for group in it["presented"] if len(group) > 1]
+        assert [ids for ids, _ in ranker.calls] == planned
+        assert {thread for _, thread in ranker.calls} == \
+            {threading.get_ident()}
+
+    def test_each_document_is_built_once_per_record(self, monkeypatch):
+        built = []
+
+        class CountingDocument(TagDocument):
+            def __post_init__(self):
+                built.append(self.tag_id)
+                super().__post_init__()
+
+        monkeypatch.setattr(rerank_module, "TagDocument", CountingDocument)
+        candidates, texts, _ = synthetic_candidates(10, 3)
+        for record in ("a", "b"):
+            rerank_record("synthetic tag", candidates, texts, RerankConfig(),
+                          RecordingRanker(), record_id=record)
+        assert sorted(built) == sorted(2 * list(texts))
+
+    def test_singletons_need_no_document(self):
+        candidates, texts, _ = synthetic_candidates(10, 3)
+        ranker = RecordingRanker()
+        predicted, _ = rerank_record("synthetic tag", candidates, {},
+                                         RerankConfig(group_size=1), ranker)
+        assert ranker.calls == [] and predicted == "syn001"
 
 
 class TestTally:
