@@ -35,6 +35,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
@@ -250,7 +251,11 @@ def rank_listwise(request: RankRequest, backend: RankerBackend) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff for transient transport errors."""
+    """Exponential backoff for transient transport errors.
+
+    A transient reply's ``Retry-After`` seconds lengthen the next wait to
+    that many, but never past ``max_delay``.
+    """
 
     max_attempts: int = 4
     base_delay: float = 0.5
@@ -300,26 +305,65 @@ class HashEmbedder:
     vector, which is L2-normalized.  Token order never matters, a text is
     always cosine-1.0 with itself, and token-disjoint texts are orthogonal
     absent bucket collisions.
+
+    Each instance memoises the bucket of every token it has hashed in a
+    batch of several texts, for as long as the instance lives, so building
+    an index hashes each distinct token once however many batches hold it.
+    The memo holds at most ``MEMO_TOKENS`` tokens and is cleared when a
+    batch would take it past that; a batch with more distinct tokens than
+    that is hashed in full and not memoised.  A batch of one text, such as
+    a record's query in the pipeline, is hashed token by token and leaves
+    the memo alone: a memo would save a query little, and one that grew
+    with every record would hold memory that grows with the dataset.
+    Vectors do not depend on the memo's state.
     """
+
+    # About 10 MB of dict entries and token strings at most.
+    MEMO_TOKENS = 1 << 16
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.backend_id = f"hash-embedder:dim={dim}"
+        self._memo: dict[str, int] = {}  # token -> bucket
+        self._memo_lock = threading.Lock()  # records embed on worker threads
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dim
 
+    def _buckets(self, tokens: set[str]) -> dict[str, int]:
+        """A dict that holds the bucket of each of ``tokens``."""
+        memo = self._memo
+        missing = tokens.difference(memo)
+        if len(memo) + len(missing) > self.MEMO_TOKENS:
+            memo.clear()
+            missing = tokens
+            if len(tokens) > self.MEMO_TOKENS:
+                memo = {}
+        memo.update(zip(missing, map(self._bucket, missing)))
+        return memo
+
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         token_lists = [text.lower().split() for text in texts]
         if not all(token_lists):
             raise BackendError("cannot embed a whitespace-only text")
-        # One hash per distinct token; integer counts make every norm exact.
-        bucket = {t: self._bucket(t) for tokens in token_lists for t in tokens}
-        cells = [row * self.dim + bucket[t]
-                 for row, tokens in enumerate(token_lists) for t in tokens]
+        if len(texts) == 1:
+            # A query: its tokens rarely repeat, so it is hashed token by
+            # token, and the memo is left alone (see the class docstring).
+            cells = list(map(self._bucket, token_lists[0]))
+        else:
+            tokens = list(chain.from_iterable(token_lists))
+            with self._memo_lock:
+                buckets = self._buckets(set(tokens))
+                cells = np.fromiter(map(buckets.__getitem__, tokens),
+                                    dtype=np.intp, count=len(tokens))
+            lengths = np.fromiter(map(len, token_lists), dtype=np.intp,
+                                  count=len(texts))
+            cells += np.repeat(np.arange(0, len(texts) * self.dim, self.dim),
+                               lengths)
+        # Integer counts make every norm exact.
         out = np.bincount(cells, minlength=len(texts) * self.dim).astype(np.float64)
         out = out.reshape(len(texts), self.dim)
         return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
@@ -353,6 +397,16 @@ def _base_url(role: str, configured: str) -> str:
     return os.environ.get(f"TAGREC_{role.upper()}_BASE_URL", configured)
 
 
+def _retry_after_seconds(resp) -> float:
+    """The wait a reply's ``Retry-After`` header asks for, in seconds, or 0.
+
+    Only the delay-seconds form counts; an HTTP date, a negative number or
+    anything else malformed is ignored, as is a reply without headers.
+    """
+    value = (getattr(resp, "headers", None) or {}).get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
 class _HttpClient:
     """Shared POST-with-retries plumbing for the remote backends."""
 
@@ -382,9 +436,12 @@ class _HttpClient:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.retry.max_attempts):
             if attempt > 0:
-                self._sleep(self.retry.delay(attempt - 1))
+                self._sleep(min(max(self.retry.delay(attempt - 1), retry_after),
+                                self.retry.max_delay))
+            retry_after = 0.0
             try:
                 with self.limiter:
                     resp = self.session.post(url, json=body, headers=headers,
@@ -397,6 +454,7 @@ class _HttpClient:
                 raise BackendError(f"{self.role}: authentication failed ({status})")
             if status in _TRANSIENT_STATUS:
                 last_error = BackendError(f"{self.role}: transient HTTP {status}")
+                retry_after = _retry_after_seconds(resp)
                 continue
             if status != 200:
                 raise BackendError(f"{self.role}: HTTP {status}: {resp.text[:500]}")
@@ -600,8 +658,16 @@ class CachingEmbedder(_CachingBase):
     """Caches per-batch embedding responses (vectors stored as JSON)."""
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        response = self._cached_call(
-            self.inner.request_of(texts),
-            lambda: json.dumps(np.asarray(self.inner.embed_batch(texts)).tolist()),
-        )
-        return np.asarray(json.loads(response), dtype=np.float64)
+        fresh = []
+
+        def call() -> str:
+            vectors = np.asarray(self.inner.embed_batch(texts))
+            fresh.append(vectors)
+            return json.dumps(vectors.tolist())
+
+        response = self._cached_call(self.inner.request_of(texts), call)
+        # A miss returns the vectors it stored without parsing them back:
+        # floats round-trip through their repr exactly, so the bits are the
+        # same as a hit's.
+        return np.asarray(fresh[0] if fresh else json.loads(response),
+                          dtype=np.float64)

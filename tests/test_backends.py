@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import requests
@@ -182,6 +184,109 @@ class TestHashEmbedder:
             HashEmbedder(dim=8).embed_batch(["   "])
 
 
+def counting_buckets(emb):
+    """Count the tokens ``emb`` hashes, by wrapping its ``_bucket``."""
+    hashed = []
+    bucket = emb._bucket
+    emb._bucket = lambda token: hashed.append(token) or bucket(token)
+    return hashed
+
+
+class SmallMemoEmbedder(HashEmbedder):
+    MEMO_TOKENS = 4
+
+
+VOCABULARY = [f"tok{i}" for i in range(12)]
+
+
+def random_batches(seed, n_batches, max_tokens=6):
+    rng = np.random.default_rng(seed)
+    return [[" ".join(rng.choice(VOCABULARY, int(rng.integers(1, max_tokens + 1))))
+             for _ in range(int(rng.integers(1, 4)))]
+            for _ in range(n_batches)]
+
+
+class TestHashEmbedderMemo:
+    def test_each_distinct_token_is_hashed_once_per_embedder(self):
+        emb = HashEmbedder(dim=16)
+        hashed = counting_buckets(emb)
+        emb.embed_batch(["a b a", "b A a"])
+        assert sorted(hashed) == ["a", "b"]
+        emb.embed_batch(["a c", "c b c"])
+        emb.embed_batch(["b", "a"])
+        assert sorted(hashed) == ["a", "b", "c"]
+
+        fresh = HashEmbedder(dim=16)
+        fresh_hashed = counting_buckets(fresh)
+        fresh.embed_batch(["b", "a"])
+        assert sorted(fresh_hashed) == ["a", "b"]  # a new embedder starts cold
+
+    def test_a_one_text_batch_leaves_the_memo_alone(self):
+        emb = HashEmbedder(dim=16)
+        hashed = counting_buckets(emb)
+        emb.embed_batch(["a b", "c"])
+        memo = dict(emb._memo)
+        got = emb.embed_batch(["a d d"])
+        assert emb._memo == memo
+        assert hashed[3:] == ["a", "d", "d"]  # hashed afresh, token by token
+        want = HashEmbedder(dim=16).embed_batch(["a d d", "x"])[:1]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_memo_stays_within_its_cap_and_vectors_across_a_clear(self):
+        emb = SmallMemoEmbedder(dim=8)
+        hashed = counting_buckets(emb)
+        for batch in random_batches(seed=5, n_batches=60):
+            got = emb.embed_batch(batch)
+            want = HashEmbedder(dim=8).embed_batch(batch)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
+        assert len(hashed) > len(set(hashed))  # the memo was cleared
+
+    def test_a_batch_larger_than_the_memo_is_hashed_in_full(self):
+        emb = SmallMemoEmbedder(dim=8)
+        emb.embed_batch(["tok1 tok2"])
+        batch = [" ".join(VOCABULARY[:7]), "tok1 tok9"]
+        got = emb.embed_batch(batch)
+        want = HashEmbedder(dim=8).embed_batch(batch)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
+
+    def test_threads_sharing_one_embedder_get_the_same_vectors(self):
+        import sys
+        import threading
+
+        emb = SmallMemoEmbedder(dim=8)
+        batches = random_batches(seed=9, n_batches=40)
+        want = [HashEmbedder(dim=8).embed_batch(b) for b in batches]
+        start = threading.Barrier(6, timeout=10)
+        errors = []
+
+        def worker(offset):
+            start.wait()
+            try:
+                for i in range(len(batches)):
+                    j = (i + offset) % len(batches)
+                    got = emb.embed_batch(batches[j])
+                    if not np.array_equal(got.view(np.int64), want[j].view(np.int64)):
+                        errors.append(f"batch {j} differs")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(7 * i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
+
+
 def _record(gen_doc):
     return NumeralRecord(record_id="r1", report_text="total 5 .",
                          numeral="5", question="q", gen_tag_doc=gen_doc)
@@ -205,10 +310,12 @@ class TestFileBackedGenerator:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        if headers is not None:  # without it, a response has no headers at all
+            self.headers = headers
 
     def json(self):
         if self._payload is None:
@@ -276,6 +383,56 @@ class TestHttpRanker:
         assert ranker.rank_listwise(RankRequest(prompt="p")) == "[1] > [2]"
         assert len(session.calls) == 3
         assert sleeps == [0.25, 0.5]  # exponential backoff
+
+    def retry_sleeps(self, responses):
+        session = FakeSession(responses)
+        sleeps = []
+        ranker = HttpChatRanker(
+            "m1", "http://api.test/v1", session=session,
+            retry=RetryPolicy(max_attempts=6, base_delay=0.25, factor=2.0,
+                              max_delay=8.0),
+            sleep=sleeps.append,
+        )
+        assert ranker.rank_listwise(RankRequest(prompt="p")) == "[1] > [2]"
+        return sleeps
+
+    def test_retry_after_seconds_lengthen_the_wait(self):
+        sleeps = self.retry_sleeps([
+            FakeResponse(429, headers={"Retry-After": "3"}),
+            FakeResponse(503, headers={"Retry-After": " 1 "}),
+            FakeResponse(500),
+            FakeResponse(429, headers={"Retry-After": "5"}),
+            requests.ConnectionError("reset"),
+            FakeResponse(200, chat_payload("[1] > [2]")),
+        ])
+        # max(policy delay, Retry-After), and the policy alone after a reply
+        # without one or after no reply at all.
+        assert sleeps == [3.0, 1.0, 1.0, 5.0, 4.0]
+
+    def test_retry_after_is_capped_by_the_policy(self):
+        sleeps = self.retry_sleeps([
+            FakeResponse(429, headers={"Retry-After": "120"}),
+            FakeResponse(200, chat_payload("[1] > [2]")),
+        ])
+        assert sleeps == [8.0]
+
+    def test_shorter_retry_after_keeps_the_backoff(self):
+        sleeps = self.retry_sleeps([
+            FakeResponse(429, headers={"Retry-After": "0"}),
+            FakeResponse(200, chat_payload("[1] > [2]")),
+        ])
+        assert sleeps == [0.25]
+
+    @pytest.mark.parametrize("value", [
+        "Wed, 21 Oct 2015 07:28:00 GMT", "-5", "soon", "1.5", "", "inf",
+        "nan", "\u0663",  # an Arabic-Indic digit three
+    ])
+    def test_unusable_retry_after_is_ignored(self, value):
+        sleeps = self.retry_sleeps([
+            FakeResponse(503, headers={"Retry-After": value}),
+            FakeResponse(200, chat_payload("[1] > [2]")),
+        ])
+        assert sleeps == [0.25]
 
     def test_exhausted_retries(self):
         session = FakeSession([FakeResponse(503)] * 3)
@@ -397,6 +554,48 @@ class TestHttpEmbedder:
         assert np.array_equal(cached.embed_batch(["a", "b"]), first)
         assert len(session.calls) == 1
         assert cached.cache.get(PINNED_KEYS["embed"]) is not None
+
+
+class Float32Embedder:
+    """An embedder whose float32 vectors do not print as short decimals."""
+
+    backend_id = "float32-embedder"
+
+    def __init__(self):
+        self.calls = 0
+
+    def request_of(self, texts):
+        return BackendRequest(kind="embed", payload=json.dumps(texts),
+                              model_id="float32")
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        values = [0.1, 1 / 3, -0.0, 1e-40, 3.4e38, -2.5, 7e-8, 0.7]
+        return np.array([values[i:] + values[:i] for i in range(len(texts))],
+                        dtype=np.float32)
+
+
+class TestCachingEmbedder:
+    def test_a_miss_returns_the_bits_a_hit_reads(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        texts = ["a", "b", "c"]
+        missed = CachingEmbedder(Float32Embedder(), cache).embed_batch(texts)
+        warm_inner = Float32Embedder()
+        hit = CachingEmbedder(warm_inner, cache).embed_batch(texts)
+        assert warm_inner.calls == 0
+        assert missed.dtype == hit.dtype == np.float64
+        assert np.array_equal(missed.view(np.int64), hit.view(np.int64))
+        want = Float32Embedder().embed_batch(texts).astype(np.float64)
+        assert np.array_equal(missed.view(np.int64), want.view(np.int64))
+
+    def test_the_entry_holds_the_vectors_json(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        texts = ["a", "b"]
+        CachingEmbedder(Float32Embedder(), cache).embed_batch(texts)
+        [path] = (tmp_path / "cache").glob("*/*/*.json")
+        entry = json.loads(path.read_bytes())
+        assert entry["response"] == json.dumps(
+            Float32Embedder().embed_batch(texts).tolist())
 
 
 class CountingRanker:
