@@ -43,9 +43,7 @@ import numpy as np
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
-from .corpus import NumeralRecord
 from .errors import BackendError, CacheConflictError, MissingGenerationError
-from .prompting import AssembledInput
 
 __all__ = [
     "BackendRequest",
@@ -66,7 +64,6 @@ __all__ = [
     "CachingRanker",
     "CachingEmbedder",
     "generate",
-    "rank_listwise",
 ]
 
 
@@ -227,22 +224,9 @@ class RankerBackend(Protocol):
     def rank_listwise(self, request: RankRequest) -> str: ...
 
 
-def generate(inp: AssembledInput, backend: GeneratorBackend,
-             record: NumeralRecord | None = None) -> str:
-    """Obtain the generated tag document for one assembled input."""
-    request = GenerateRequest(
-        record_id=inp.record_id,
-        text=inp.text,
-        stored_gen_doc=record.gen_tag_doc if record is not None else None,
-    )
+def generate(request: GenerateRequest, backend: GeneratorBackend) -> str:
+    """Obtain the generated tag document for one generation request."""
     return backend.generate(request)
-
-
-def rank_listwise(request: RankRequest, backend: RankerBackend) -> str:
-    """Send one listwise ranking prompt and return the verbatim reply."""
-    if not request.prompt:
-        raise ValueError("prompt must be non-empty")
-    return backend.rank_listwise(request)
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +245,14 @@ class RetryPolicy:
     base_delay: float = 0.5
     factor: float = 2.0
     max_delay: float = 8.0
+
+    def __post_init__(self) -> None:
+        # No attempt at all would fail every call without sending it.
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if not (self.base_delay >= 0 and self.factor >= 0
+                and self.max_delay >= 0):  # NaN too
+            raise ValueError("base_delay, factor and max_delay must be >= 0")
 
     def delay(self, attempt: int) -> float:
         return min(self.base_delay * self.factor ** attempt, self.max_delay)
@@ -413,6 +405,8 @@ class _HttpClient:
     def __init__(self, role: str, base_url: str, *, retry: RetryPolicy | None = None,
                  limiter: RateLimiter | None = None, timeout: float = 60.0,
                  session=None, sleep=time.sleep):
+        if not timeout > 0:  # NaN too
+            raise ValueError("timeout must be > 0")
         self.role = role
         self.base_url = _base_url(role, base_url).rstrip("/")
         self.retry = retry or RetryPolicy()

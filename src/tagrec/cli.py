@@ -21,8 +21,7 @@ from .errors import ConfigError, TagRecError
 from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
     evaluate_predictions, render_table
 from .pipeline import jsonl_line, run_records, run_sweep
-from .prompting import default_instruction, default_rerank_template, \
-    load_template
+from .prompting import default_instruction, default_rerank_template
 from .rerank import Ordering, RerankConfig, VoteMode
 from .retrieval import VectorIndex, build_index
 from .sim import OracleKind, OracleRanker, OracleSpec, recovery_experiment, \
@@ -113,7 +112,8 @@ def _instruction_text(settings: dict) -> str:
     if settings.get("instruction"):
         return settings["instruction"]
     if settings.get("instruction_path"):
-        return load_template(settings["instruction_path"]).rstrip("\n")
+        path = _require_path(settings, "instruction_path")
+        return path.read_text(encoding="utf-8").rstrip("\n")
     return default_instruction()
 
 
@@ -142,6 +142,18 @@ def _spec_dict(spec) -> dict:
     raise ConfigError(f"backend spec must be a string or object, got {spec!r}")
 
 
+def _backend(build, spec, *args):
+    """``build(spec, *args)``, with a bad value in the spec as a ConfigError.
+
+    Every command builds its backends here, so a malformed or out-of-range
+    spec value exits 2 with a message instead of a traceback.
+    """
+    try:
+        return build(spec, *args)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"backend spec {spec!r}: {exc}") from None
+
+
 def _http_client_kwargs(doc: dict) -> dict:
     """Shared remote-backend tuning: timeout, retry budget, rate limits."""
     kwargs = {"timeout": float(doc.get("timeout", 60.0))}
@@ -155,14 +167,20 @@ def _http_client_kwargs(doc: dict) -> dict:
         )
     rate_limit = doc.get("rate_limit")
     if rate_limit is not None:
-        try:
-            kwargs["limiter"] = be.RateLimiter(
-                max_in_flight=int(rate_limit.get("max_in_flight", 4)),
-                min_interval=float(rate_limit.get("min_interval", 0.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"rate_limit: {exc}") from None
+        kwargs["limiter"] = be.RateLimiter(
+            max_in_flight=int(rate_limit.get("max_in_flight", 4)),
+            min_interval=float(rate_limit.get("min_interval", 0.0)),
+        )
     return kwargs
+
+
+def _http_chat(cls, doc: dict):
+    """A chat-completions generator or ranker from its ``http`` spec."""
+    if "model" not in doc or "base_url" not in doc:
+        raise ConfigError(f"http {cls.role} needs 'model' and 'base_url'")
+    return cls(doc["model"], doc["base_url"],
+               temperature=float(doc.get("temperature", 0.0)),
+               system=doc.get("system"), **_http_client_kwargs(doc))
 
 
 def _build_embedder(spec):
@@ -185,18 +203,13 @@ def _build_generator(spec):
     if kind == "file":
         return be.FileBackedGenerator()
     if kind == "http":
-        if "model" not in doc or "base_url" not in doc:
-            raise ConfigError("http generator needs 'model' and 'base_url'")
-        return be.HttpChatGenerator(
-            doc["model"], doc["base_url"],
-            temperature=float(doc.get("temperature", 0.0)),
-            system=doc.get("system"),
-            **_http_client_kwargs(doc),
-        )
+        return _http_chat(be.HttpChatGenerator, doc)
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def _oracle_spec(kind: str, arg: str | None, seed: int) -> OracleSpec:
+def _oracle_spec(spec, seed: int) -> OracleSpec:
+    doc = _spec_dict(spec)
+    kind, arg = doc.get("kind"), doc.get("arg")
     if kind == "noisy":
         if not arg:
             raise ConfigError("noisy ranker needs an error rate, e.g. noisy:0.1")
@@ -211,16 +224,9 @@ def _build_ranker(spec, seed: int):
     kind = doc.get("kind")
     oracle_kinds = {k.value for k in OracleKind}
     if kind in oracle_kinds:
-        return OracleRanker(_oracle_spec(kind, doc.get("arg"), seed))
+        return OracleRanker(_oracle_spec(doc, seed))
     if kind == "http":
-        if "model" not in doc or "base_url" not in doc:
-            raise ConfigError("http ranker needs 'model' and 'base_url'")
-        return be.HttpChatRanker(
-            doc["model"], doc["base_url"],
-            temperature=float(doc.get("temperature", 0.0)),
-            system=doc.get("system"),
-            **_http_client_kwargs(doc),
-        )
+        return _http_chat(be.HttpChatRanker, doc)
     raise ConfigError(
         f"unknown ranker kind {kind!r}; expected http or one of "
         f"{sorted(oracle_kinds)}"
@@ -239,20 +245,11 @@ def _wrap_with_cache(settings: dict, generator, embedder, ranker):
             wrap(embedder, be.CachingEmbedder), wrap(ranker, be.CachingRanker))
 
 
-def _cache_counters(*wrapped) -> dict:
-    out = {}
-    for name, backend in wrapped:
-        if hasattr(backend, "counter"):
-            out[name] = backend.counter.snapshot()
-    return out
-
-
 # --------------------------------------------------------------------------
 # Index handling
 
 
-def _load_or_build_index(settings: dict, corpus, embedder,
-                         persist_missing: bool = True) -> VectorIndex:
+def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
     index_path = settings.get("index")
     if index_path and Path(index_path).exists():
         index = VectorIndex.load(index_path)
@@ -263,7 +260,7 @@ def _load_or_build_index(settings: dict, corpus, embedder,
             )
         return index
     index = build_index(corpus, embedder)
-    if index_path and persist_missing:
+    if index_path:
         index.save(index_path)
         print(f"built and saved index: {index_path}", file=sys.stderr)
     return index
@@ -274,9 +271,9 @@ def _pipeline_inputs(settings: dict, seed: int):
     corpus = load_taxonomy(_require_path(settings, "taxonomy"))
     records = load_dataset(_require_path(settings, "dataset"), corpus)
     generator, embedder, ranker = _wrap_with_cache(
-        settings, _build_generator(settings["generator"]),
-        _build_embedder(settings["embedder"]),
-        _build_ranker(settings["ranker"], seed=seed))
+        settings, _backend(_build_generator, settings["generator"]),
+        _backend(_build_embedder, settings["embedder"]),
+        _backend(_build_ranker, settings["ranker"], seed))
     index = _load_or_build_index(settings, corpus, embedder)
     return corpus, records, generator, embedder, ranker, index
 
@@ -296,7 +293,7 @@ def cmd_embed_index(args: argparse.Namespace) -> int:
             f"index file exists: {index_path} (pass --force to overwrite)"
         )
     corpus = load_taxonomy(taxonomy_path)
-    embedder = _build_embedder(settings["embedder"])
+    embedder = _backend(_build_embedder, settings["embedder"])
     index = build_index(corpus, embedder)
     index.save(index_path)
     print(f"indexed {len(index)} tag documents (dim {index.dim}) -> {index_path}")
@@ -345,11 +342,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             for trace in result.traces:
                 fh.write(jsonl_line(trace))
 
-    counters = _cache_counters(("generator", generator), ("ranker", ranker),
-                               ("embedder", embedder))
-    backend_ids = {"generator": generator.backend_id,
-                   "embedder": embedder.backend_id,
-                   "ranker": ranker.backend_id}
+    backends = {"generator": generator, "embedder": embedder, "ranker": ranker}
+    counters = {name: backend.counter.snapshot()
+                for name, backend in backends.items() if hasattr(backend, "counter")}
+    backend_ids = {name: backend.backend_id for name, backend in backends.items()}
     manifest = _manifest(settings, instruction, backend_ids, counters,
                          result.counts)
     manifest_path = predictions_path.with_name(predictions_path.name
@@ -453,11 +449,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     config = _rerank_config(settings)
-    kind, _, arg = args.oracle.partition(":")
-    try:
-        spec = _oracle_spec(kind, arg or None, seed=config.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    spec = _backend(_oracle_spec, args.oracle, config.seed)
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     weights = None
@@ -492,12 +484,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     cache = be.ResponseCache(cache_dir)
     if args.cache_command == "stats":
         print(json.dumps(cache.stats(), sort_keys=True))
-        return 0
-    if args.cache_command == "clear":
+    else:  # "clear": argparse admits no other subcommand
         removed = cache.clear()
         print(f"removed {removed} cache entries from {cache_dir}")
-        return 0
-    raise ConfigError(f"unknown cache command {args.cache_command!r}")
+    return 0
 
 
 # --------------------------------------------------------------------------

@@ -28,9 +28,7 @@ __all__ = [
     "TaxonomyCorpus",
     "NumeralRecord",
     "load_taxonomy",
-    "save_taxonomy",
     "load_dataset",
-    "save_dataset",
 ]
 
 
@@ -71,15 +69,6 @@ class TaxonomyCorpus:
 
     def __contains__(self, tag_id: str) -> bool:
         return tag_id in self.index_by_id
-
-    def position(self, tag_id: str) -> int:
-        try:
-            return self.index_by_id[tag_id]
-        except KeyError:
-            raise CorpusError(f"unknown tag_id {tag_id!r}") from None
-
-    def text_of(self, tag_id: str) -> str:
-        return self.docs[self.position(tag_id)].text
 
     def texts(self) -> dict[str, str]:
         """tag_id -> document text mapping, in corpus order."""
@@ -158,19 +147,6 @@ def load_taxonomy(path: str | Path) -> TaxonomyCorpus:
     return TaxonomyCorpus(docs=tuple(docs))
 
 
-def save_taxonomy(corpus: TaxonomyCorpus, path: str | Path) -> None:
-    """Write the corpus back out in the canonical JSON-Lines form.
-
-    ``load_taxonomy`` of a file produced here round-trips byte-identically.
-    """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
-            fh.write(json.dumps({"tag_id": doc.tag_id, "text": doc.text},
-                                ensure_ascii=False))
-            fh.write("\n")
-
-
 def load_dataset(
     path: str | Path,
     corpus: TaxonomyCorpus | None = None,
@@ -218,22 +194,3 @@ def load_dataset(
                 )
         records.append(record)
     return records
-
-
-def save_dataset(records: list[NumeralRecord], path: str | Path) -> None:
-    """Write records in the canonical JSON-Lines dataset form."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(
-                {
-                    "record_id": rec.record_id,
-                    "report_text": rec.report_text,
-                    "numeral": rec.numeral,
-                    "question": rec.question,
-                    "gold_tag_id": rec.gold_tag_id,
-                    "gen_tag_doc": rec.gen_tag_doc,
-                },
-                ensure_ascii=False,
-            ))
-            fh.write("\n")

@@ -94,9 +94,9 @@ def _process_record(
     instruction: str,
 ) -> tuple[str, dict | None, dict | None, str | None]:
     """Returns (status, prediction, trace, reason)."""
-    assembled = assemble_generation_input(instruction, record)
+    request = assemble_generation_input(instruction, record)
     try:
-        gen_doc = generate(assembled, generator, record)
+        gen_doc = generate(request, generator)
     except MissingGenerationError as exc:
         return "skipped", None, None, str(exc)
     candidates = retrieve(record, gen_doc, scan, embedder, config.top_k)

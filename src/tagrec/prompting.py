@@ -2,10 +2,11 @@
 
 Two text protocols live here.  The generation input is the newline join of
 the instruction prompt, the report text, and the numeral question, in that
-order, with no other mutation.  The re-ranking exchange renders a fixed
-prompt that presents the generated tag document plus a numbered group of
-candidate documents, and parses the backend's permutation reply of the form
-``[a] > [b] > ...``.
+order, with no other mutation; it goes to the generator as a
+:class:`~tagrec.backends.GenerateRequest`.  The re-ranking exchange renders a
+fixed prompt that presents the generated tag document plus a numbered group
+of candidate documents, and parses the backend's permutation reply of the
+form ``[a] > [b] > ...``.
 
 Replies from real rankers are noisy, so parsing repairs rather than rejects:
 out-of-range identifiers are dropped, duplicates keep their first occurrence,
@@ -21,19 +22,17 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
+from .backends import GenerateRequest
 from .corpus import NumeralRecord, TagDocument
 from .errors import UnparseableReplyError
 
 __all__ = [
-    "AssembledInput",
     "RankingReply",
     "DEFAULT_RERANK_TEMPLATE_NAME",
     "assemble_generation_input",
     "default_instruction",
     "default_rerank_template",
-    "load_template",
     "build_rerank_prompt",
     "parse_ranking_reply",
 ]
@@ -43,14 +42,6 @@ DEFAULT_INSTRUCTION_NAME = "instruction_v1.txt"
 
 _IDENTIFIER_RE = re.compile(r"\[(\d+)\]")
 _PLACEHOLDER_RE = re.compile(r"\{\{(n|gen_doc|passages)\}\}")
-
-
-@dataclass(frozen=True)
-class AssembledInput:
-    """The concatenated generator input for one record."""
-
-    text: str
-    record_id: str
 
 
 @dataclass(frozen=True)
@@ -65,12 +56,14 @@ class RankingReply:
     raw: str
 
 
-def assemble_generation_input(instruction: str, record: NumeralRecord) -> AssembledInput:
+def assemble_generation_input(instruction: str,
+                              record: NumeralRecord) -> GenerateRequest:
     """Join instruction, report text, and question with single newlines."""
     if not instruction:
         raise ValueError("instruction must be non-empty")
     text = instruction + "\n" + record.report_text + "\n" + record.question
-    return AssembledInput(text=text, record_id=record.record_id)
+    return GenerateRequest(record_id=record.record_id, text=text,
+                           stored_gen_doc=record.gen_tag_doc)
 
 
 @lru_cache(maxsize=8)
@@ -92,11 +85,6 @@ def default_rerank_template() -> str:
 def default_instruction() -> str:
     """The shipped generation instruction, stripped of its trailing newline."""
     return _read_packaged(DEFAULT_INSTRUCTION_NAME).rstrip("\n")
-
-
-def load_template(path: str | Path) -> str:
-    """Read a user-supplied template file (UTF-8)."""
-    return Path(path).read_text(encoding="utf-8")
 
 
 def build_rerank_prompt(

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backends import RankerBackend, RankRequest, rank_listwise
+from .backends import RankerBackend, RankRequest
 from .corpus import TagDocument
 from .errors import UnparseableReplyError
 from .prompting import build_rerank_prompt, parse_ranking_reply
@@ -216,7 +216,7 @@ def rank_group(
         record_id=record_id,
         gold_tag_id=gold_tag_id,
     )
-    raw = rank_listwise(request, ranker)
+    raw = ranker.rank_listwise(request)
     try:
         reply = parse_ranking_reply(raw, len(group))
     except UnparseableReplyError:

@@ -40,7 +40,6 @@ __all__ = [
     "VectorIndex",
     "IndexScan",
     "EmbedderBackend",
-    "cosine_similarity",
     "build_index",
     "top_k",
     "retrieve",
@@ -73,18 +72,6 @@ def _as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector contains non-finite values")
     return arr
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1] up to rounding."""
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape[0] != vb.shape[0]:
-        raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
 
 
 @dataclass(frozen=True)

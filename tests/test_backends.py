@@ -9,12 +9,11 @@ import requests
 from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
     CachingRanker, FileBackedGenerator, GenerateRequest, HashEmbedder, \
     HttpChatGenerator, HttpChatRanker, HttpEmbedder, RankRequest, \
-    RateLimiter, ResponseCache, RetryPolicy, generate, rank_listwise
+    RateLimiter, ResponseCache, RetryPolicy, generate
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import BackendError, CacheConflictError, \
     MissingGenerationError
 from tagrec.prompting import assemble_generation_input
-from tagrec.retrieval import cosine_similarity
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 
@@ -162,7 +161,7 @@ class TestHashEmbedder:
     def test_self_cosine_is_one(self):
         emb = HashEmbedder(dim=32)
         [v] = emb.embed_batch(["revenue from contracts"])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        assert float(v @ v) == pytest.approx(1.0)  # a unit vector
 
     def test_token_order_invariant(self):
         emb = HashEmbedder(dim=32)
@@ -177,7 +176,7 @@ class TestHashEmbedder:
         buckets_b = {emb._bucket(t) for t in second.split()}
         assert not buckets_a & buckets_b  # collision-free inputs
         va, vb = emb.embed_batch([first, second])
-        assert cosine_similarity(va, vb) == pytest.approx(0.0, abs=1e-12)
+        assert float(va @ vb) == pytest.approx(0.0, abs=1e-12)
 
     def test_whitespace_only_rejected(self):
         with pytest.raises(BackendError):
@@ -294,15 +293,13 @@ def _record(gen_doc):
 
 class TestFileBackedGenerator:
     def test_pass_through(self):
-        record = _record("GD")
-        inp = assemble_generation_input("P", record)
-        assert generate(inp, FileBackedGenerator(), record) == "GD"
+        request = assemble_generation_input("P", _record("GD"))
+        assert generate(request, FileBackedGenerator()) == "GD"
 
     def test_missing_generation(self):
-        record = _record(None)
-        inp = assemble_generation_input("P", record)
+        request = assemble_generation_input("P", _record(None))
         with pytest.raises(MissingGenerationError, match="r1"):
-            generate(inp, FileBackedGenerator(), record)
+            generate(request, FileBackedGenerator())
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +347,7 @@ class TestHttpRanker:
         session = FakeSession([FakeResponse(200, chat_payload("[2] > [1]"))])
         ranker = HttpChatRanker("m1", "http://api.test/v1", session=session,
                                 retry=FAST_RETRY)
-        reply = rank_listwise(RankRequest(prompt="rank these"), ranker)
+        reply = ranker.rank_listwise(RankRequest(prompt="rank these"))
         assert reply == "[2] > [1]"
         [call] = session.calls
         assert call["url"] == "http://api.test/v1/chat/completions"
@@ -471,6 +468,27 @@ class TestHttpRanker:
                                 retry=FAST_RETRY)
         with pytest.raises(BackendError, match="malformed"):
             ranker.rank_listwise(RankRequest(prompt="p"))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_attempts": 0}, "max_attempts"),
+        ({"base_delay": -0.5}, "delay"),
+        ({"max_delay": -1.0}, "delay"),
+        ({"max_delay": float("nan")}, "delay"),
+        ({"factor": float("nan")}, "factor"),
+    ])
+    def test_retry_policy_rejects_no_attempts_and_bad_delays(self, kwargs,
+                                                             message):
+        # With no attempt, every call would fail without being sent.
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_timeout_must_be_positive(self, timeout):
+        # requests rejects a zero timeout on every call, so no call could
+        # succeed; the client refuses it when it is made instead.
+        with pytest.raises(ValueError, match="timeout"):
+            HttpChatRanker("m1", "http://api.test/v1", session=FakeSession([]),
+                           timeout=timeout)
 
 
 class TestHttpGenerator:

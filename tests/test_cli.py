@@ -154,6 +154,13 @@ class TestRun:
         assert manifest["settings"]["iterations"] == 4  # flag wins
         assert traces_free_preds.exists()
 
+    def test_missing_instruction_file_exits_2(self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect",
+                       "--instruction-path", tmp / "nope.txt") == 2
+        assert "instruction_path path does not exist" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
         config = tmp / "bad.json"
@@ -291,6 +298,61 @@ class TestRun:
         }))
         assert run_cli("run", "--config", config) == 2
         assert "max_in_flight" in capsys.readouterr().err
+
+
+class TestMalformedBackendSpecs:
+    """A bad value in a backend spec exits 2 with a message, not a traceback."""
+
+    HTTP_RANKER = {"kind": "http", "model": "m",
+                   "base_url": "http://ranker.invalid/v1"}
+
+    def _run(self, workspace, **specs):
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
+            **specs,
+        }))
+        return run_cli("run", "--config", config)
+
+    @pytest.mark.parametrize("role, spec", [
+        ("embedder", "hash:abc"),
+        ("embedder", "hash:0"),
+        ("ranker", "noisy:abc"),
+        ("ranker", "noisy:2"),
+        ("ranker", {**HTTP_RANKER, "timeout": "abc"}),
+        ("ranker", {**HTTP_RANKER, "retry": 3}),
+    ])
+    def test_bad_spec_value_exits_2(self, workspace, capsys, role, spec):
+        assert self._run(workspace, **{role: spec}) == 2
+        assert capsys.readouterr().err.startswith("error: backend spec")
+        assert not (workspace[0] / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"retry": {"max_attempts": 0}}, "max_attempts"),
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": "nan"}, "timeout"),
+    ])
+    def test_zero_retries_or_timeout_exit_2(self, workspace, capsys, setting,
+                                            message):
+        """Without the check the run exits 0 with every record failed."""
+        assert self._run(workspace, ranker={**self.HTTP_RANKER, **setting}) == 2
+        assert message in capsys.readouterr().err
+        assert not (workspace[0] / "p.jsonl").exists()
+
+    def test_every_command_builds_backends_the_same_way(self, workspace,
+                                                        capsys):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("embed-index", "--taxonomy", taxonomy,
+                       "--index", tmp / "x.idx", "--embedder", "hash:0") == 2
+        assert run_cli("sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "noisy:2", "--axis", "iterations",
+                       "--values", "1") == 2
+        assert run_cli("simulate", "--oracle", "noisy:abc", "--trials", 5) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: backend spec") == 3
+        assert not (tmp / "x.idx").exists()
 
 
 class TestEvaluate:

@@ -112,7 +112,7 @@ class TestRunRecords:
         records = make_records(3)
         extra = NumeralRecord(record_id="zz9", report_text="total 42 .",
                               numeral="42", question="q",
-                              gen_tag_doc=make_corpus().text_of("LongTermDebt"))
+                              gen_tag_doc=make_corpus().texts()["LongTermDebt"])
         result = run(parts, records + [extra],
                      ranker=OracleRanker(OracleSpec(OracleKind.LEXICAL)))
         assert len(result.predictions) == 4

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tagrec.backends import HashEmbedder
 from tagrec.errors import BackendError
 from tagrec.retrieval import IndexScan, VectorIndex, _top_positions, \
-    build_index, cosine_similarity, retrieve, top_k
+    build_index, retrieve, top_k
 
 from conftest import make_records
 
@@ -35,40 +35,6 @@ def per_query_top_k(query, vectors, k):
     scores = (mat @ q) / (norms * np.linalg.norm(q))
     order = np.argsort(-scores, kind="stable")[:k]
     return [(int(pos), float(scores[pos]).hex()) for pos in order]
-
-
-class TestCosine:
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-    def test_colinear_scale_invariant(self):
-        assert cosine_similarity([2, 2], [1, 1]) == pytest.approx(1.0)
-
-    def test_analytic_value(self):
-        assert cosine_similarity([1, 0], [1, 1]) == pytest.approx(
-            1 / np.sqrt(2), abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine_similarity([1, 0], [1, 0, 0])
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
-            cosine_similarity([0, 0], [1, 1])
-
-    @given(
-        a=st.lists(st.floats(-100, 100), min_size=3, max_size=3),
-        b=st.lists(st.floats(-100, 100), min_size=3, max_size=3),
-        c=st.floats(0.01, 50),
-    )
-    def test_symmetry_and_positive_scaling(self, a, b, c):
-        if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
-            return
-        ab = cosine_similarity(a, b)
-        assert ab == pytest.approx(cosine_similarity(b, a), abs=1e-9)
-        scaled = cosine_similarity([c * x for x in a], b)
-        assert scaled == pytest.approx(ab, abs=1e-9)
-        assert -1.0 - 1e-9 <= ab <= 1.0 + 1e-9
 
 
 class _DimDriftEmbedder:
@@ -290,7 +256,7 @@ class TestRetrieve:
         embedder = HashEmbedder(dim=64)
         index = build_index(ten_tag_corpus, embedder)
         record = make_records(1)[0]
-        hits = retrieve(record, ten_tag_corpus.text_of("Revenues"), index,
+        hits = retrieve(record, ten_tag_corpus.texts()["Revenues"], index,
                         embedder, k=1)
         assert hits[0].tag_id == "Revenues"
         assert hits[0].score == pytest.approx(1.0)
