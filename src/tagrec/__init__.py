@@ -14,7 +14,7 @@ from .corpus import NumeralRecord, TagDocument, TaxonomyCorpus, load_dataset, \
 from .errors import BackendError, CacheConflictError, ConfigError, \
     CorpusError, MissingGenerationError, TagRecError, UnparseableReplyError
 from .evaluation import EvalReport, PredictionSet, SweepAxis, \
-    evaluate_predictions, hits_at_1, macro_metrics, sweep
+    evaluate_predictions, hits_at_1, macro_metrics
 from .prompting import RankingReply, assemble_generation_input, \
     build_rerank_prompt, parse_ranking_reply
 from .rerank import Ordering, RerankConfig, RerankTrace, VoteMode, VoteTally, \

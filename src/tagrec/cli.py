@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from enum import EnumMeta
 from pathlib import Path
 
 from . import backends as be
@@ -30,26 +31,39 @@ from .sim import OracleKind, OracleRanker, OracleSpec, recovery_experiment, \
 __all__ = ["main"]
 
 
-DEFAULTS = {
-    "taxonomy": None,
-    "dataset": None,
-    "index": None,
-    "cache_dir": None,
-    "trace_out": None,
-    "predictions_out": "predictions.jsonl",
-    "generator": "file",
-    "embedder": "hash",
-    "ranker": None,
-    "instruction": None,
-    "instruction_path": None,
-    "top_k": 10,
-    "group_size": 5,
-    "iterations": 8,
-    "ordering": "order-preserving",
-    "vote_mode": "per-group",
-    "seed": 0,
-    "concurrency": None,  # None: the ranker's max_in_flight, or 1
+BACKEND = "backend"  # a spec string such as hash:64, or a JSON object
+
+# Every setting a --config file may hold, as (default, kind, flag help); each
+# is also a flag of the same name on the subcommands that read it.  Kinds are
+# int, str, an Enum class and BACKEND; only a setting whose default is None
+# may be null.
+SETTINGS = {
+    "taxonomy": (None, str, "taxonomy JSONL path"),
+    "dataset": (None, str, "dataset JSONL path"),
+    "index": (None, str, "vector index path"),
+    "cache_dir": (None, str, "response cache directory"),
+    "generator": ("file", BACKEND, "generator backend spec"),
+    "embedder": ("hash", BACKEND, "embedder backend spec"),
+    "ranker": (None, BACKEND, "ranker backend spec"),
+    "instruction_path": (None, str, "generation instruction template file"),
+    "concurrency": (None, int, "records worked on at a time (default: the "
+                    "ranker's rate_limit.max_in_flight, or 1 for an "
+                    "in-process ranker)"),
+    "top_k": (10, int, "retrieval depth"),
+    "group_size": (5, int, "re-ranking group size"),
+    "iterations": (8, int, "re-ranking rounds"),
+    "ordering": ("order-preserving", Ordering, "intra-group presentation order"),
+    "vote_mode": ("per-group", VoteMode, "vote counting semantics"),
+    "seed": (0, int, "base random seed"),
+    "trace_out": (None, str, "write per-record re-ranking traces (JSONL)"),
+    "predictions_out": ("predictions.jsonl", str, "predictions output path (JSONL)"),
 }
+
+RERANK_SETTINGS = ("top_k", "group_size", "iterations", "ordering",
+                   "vote_mode", "seed")
+PIPELINE_SETTINGS = ("taxonomy", "dataset", "index", "cache_dir", "generator",
+                     "embedder", "ranker", "instruction_path", "concurrency",
+                     *RERANK_SETTINGS)
 
 
 # --------------------------------------------------------------------------
@@ -65,53 +79,55 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(DEFAULTS)
+    unknown = set(doc) - set(SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return doc
 
 
+def _convert(key: str, value):
+    """``value`` as setting ``key`` holds it, or a ConfigError naming it."""
+    default, kind, _ = SETTINGS[key]
+    if value is None and default is None:
+        return None
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be one of "
+                              f"{[e.value for e in kind]}, got {value!r}") from None
+    if kind is int:
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, str) or (kind is BACKEND and isinstance(value, dict)):
+        return value
+    expected = "a backend spec string or object" if kind is BACKEND else "a string"
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS)
+    settings = {key: default for key, (default, _, _) in SETTINGS.items()}
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
     # Each flag is named after the setting it overrides.
-    for key in DEFAULTS:
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    return settings
-
-
-def _choice(enum, value, name: str):
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be one of {[e.value for e in enum]}, got {value!r}"
-        ) from None
+    return {key: _convert(key, value) for key, value in settings.items()}
 
 
 def _rerank_config(settings: dict) -> RerankConfig:
-    ordering = _choice(Ordering, settings["ordering"], "ordering")
-    vote_mode = _choice(VoteMode, settings["vote_mode"], "vote_mode")
     try:
-        return RerankConfig(
-            group_size=int(settings["group_size"]),
-            iterations=int(settings["iterations"]),
-            ordering=ordering,
-            seed=int(settings["seed"]),
-            top_k=int(settings["top_k"]),
-            vote_mode=vote_mode,
-        )
+        return RerankConfig(**{key: settings[key] for key in RERANK_SETTINGS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _instruction_text(settings: dict) -> str:
-    if settings.get("instruction"):
-        return settings["instruction"]
-    if settings.get("instruction_path"):
+    if settings["instruction_path"]:
         path = _require_path(settings, "instruction_path")
         return path.read_text(encoding="utf-8").rstrip("\n")
     return default_instruction()
@@ -127,19 +143,24 @@ def _require_path(settings: dict, key: str) -> Path:
     return path
 
 
+def _write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 # --------------------------------------------------------------------------
 # Backend construction
 
 
-def _spec_dict(spec) -> dict:
+def _spec_dict(spec, arg_key: str = "arg") -> dict:
+    """A spec object, or a ``kind[:arg]`` string with ``arg`` as ``arg_key``."""
     if isinstance(spec, dict):
         return dict(spec)
-    if isinstance(spec, str):
-        if ":" in spec:
-            kind, _, arg = spec.partition(":")
-            return {"kind": kind, "arg": arg}
-        return {"kind": spec}
-    raise ConfigError(f"backend spec must be a string or object, got {spec!r}")
+    if spec.startswith("{"):
+        raise ConfigError(f"backend spec {spec!r}: a backend object goes in a "
+                          "--config file, as a JSON object")
+    kind, colon, arg = spec.partition(":")
+    return {"kind": kind, arg_key: arg} if colon else {"kind": kind}
 
 
 def _backend(build, spec, *args):
@@ -154,79 +175,85 @@ def _backend(build, spec, *args):
         raise ConfigError(f"backend spec {spec!r}: {exc}") from None
 
 
-def _http_client_kwargs(doc: dict) -> dict:
-    """Shared remote-backend tuning: timeout, retry budget, rate limits."""
-    kwargs = {"timeout": float(doc.get("timeout", 60.0))}
-    retry = doc.get("retry")
-    if retry is not None:
-        kwargs["retry"] = be.RetryPolicy(
-            max_attempts=int(retry.get("max_attempts", 4)),
-            base_delay=float(retry.get("base_delay", 0.5)),
-            factor=float(retry.get("factor", 2.0)),
-            max_delay=float(retry.get("max_delay", 8.0)),
-        )
-    rate_limit = doc.get("rate_limit")
-    if rate_limit is not None:
-        kwargs["limiter"] = be.RateLimiter(
-            max_in_flight=int(rate_limit.get("max_in_flight", 4)),
-            min_interval=float(rate_limit.get("min_interval", 0.0)),
-        )
-    return kwargs
+def _options(doc, types: dict, what: str) -> dict:
+    """The keys ``doc`` gives, each converted by ``types``; no other keys.
+
+    A key left out stays out, so the backend's own default applies.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be an object, got {doc!r}")
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    return {key: types[key](value) for key, value in doc.items()}
 
 
-def _http_chat(cls, doc: dict):
-    """A chat-completions generator or ranker from its ``http`` spec."""
-    if "model" not in doc or "base_url" not in doc:
-        raise ConfigError(f"http {cls.role} needs 'model' and 'base_url'")
-    return cls(doc["model"], doc["base_url"],
-               temperature=float(doc.get("temperature", 0.0)),
-               system=doc.get("system"), **_http_client_kwargs(doc))
+def _as_given(value):
+    return value
+
+
+def _nested(cls, what: str, **types):
+    """A converter of a nested spec object into ``cls``; null is the default."""
+    return lambda doc: None if doc is None else cls(**_options(doc, types, what))
+
+
+_HTTP_KEYS = {
+    "model": _as_given, "base_url": _as_given, "timeout": float,
+    "retry": _nested(be.RetryPolicy, "retry", max_attempts=int,
+                     base_delay=float, factor=float, max_delay=float),
+    "rate_limit": _nested(be.RateLimiter, "rate_limit", max_in_flight=int,
+                          min_interval=float),
+}
+_HTTP_CHAT_KEYS = {**_HTTP_KEYS, "temperature": float, "system": _as_given}
+
+
+def _http(cls, role: str, doc: dict, keys: dict):
+    """An http backend built from the keys its spec gives."""
+    kwargs = _options(doc, keys, f"http {role}")
+    if "model" not in kwargs or "base_url" not in kwargs:
+        raise ConfigError(f"http {role} needs 'model' and 'base_url'")
+    if "rate_limit" in kwargs:
+        kwargs["limiter"] = kwargs.pop("rate_limit")
+    return cls(kwargs.pop("model"), kwargs.pop("base_url"), **kwargs)
 
 
 def _build_embedder(spec):
-    doc = _spec_dict(spec)
-    kind = doc.get("kind", "hash")
+    doc = _spec_dict(spec, "dim")
+    kind = doc.pop("kind", "hash")
     if kind == "hash":
-        dim = int(doc.get("dim", doc.get("arg", 256)))
-        return be.HashEmbedder(dim=dim)
+        return be.HashEmbedder(**_options(doc, {"dim": int}, "hash embedder"))
     if kind == "http":
-        if "model" not in doc or "base_url" not in doc:
-            raise ConfigError("http embedder needs 'model' and 'base_url'")
-        return be.HttpEmbedder(doc["model"], doc["base_url"],
-                               **_http_client_kwargs(doc))
+        return _http(be.HttpEmbedder, "embedder", doc, _HTTP_KEYS)
     raise ConfigError(f"unknown embedder kind {kind!r}")
 
 
 def _build_generator(spec):
     doc = _spec_dict(spec)
-    kind = doc.get("kind", "file")
+    kind = doc.pop("kind", "file")
     if kind == "file":
-        return be.FileBackedGenerator()
+        return be.FileBackedGenerator(**_options(doc, {}, "file generator"))
     if kind == "http":
-        return _http_chat(be.HttpChatGenerator, doc)
+        return _http(be.HttpChatGenerator, "generator", doc, _HTTP_CHAT_KEYS)
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
 def _oracle_spec(spec, seed: int) -> OracleSpec:
-    doc = _spec_dict(spec)
-    kind, arg = doc.get("kind"), doc.get("arg")
-    if kind == "noisy":
-        if not arg:
-            raise ConfigError("noisy ranker needs an error rate, e.g. noisy:0.1")
-        return OracleSpec(OracleKind.NOISY, error_rate=float(arg), seed=seed)
-    return OracleSpec(OracleKind(kind), seed=seed)
+    doc = _spec_dict(spec, "error_rate")
+    kind = OracleKind(doc.pop("kind", None))
+    return OracleSpec(kind, seed=seed, **_options(
+        doc, {"error_rate": float}, f"{kind.value} ranker"))
 
 
 def _build_ranker(spec, seed: int):
     if spec is None:
         raise ConfigError("ranker is required (flag --ranker)")
-    doc = _spec_dict(spec)
-    kind = doc.get("kind")
+    doc = _spec_dict(spec, "error_rate")
     oracle_kinds = {k.value for k in OracleKind}
-    if kind in oracle_kinds:
+    if doc.get("kind") in oracle_kinds:
         return OracleRanker(_oracle_spec(doc, seed))
+    kind = doc.pop("kind", None)
     if kind == "http":
-        return _http_chat(be.HttpChatRanker, doc)
+        return _http(be.HttpChatRanker, "ranker", doc, _HTTP_CHAT_KEYS)
     raise ConfigError(
         f"unknown ranker kind {kind!r}; expected http or one of "
         f"{sorted(oracle_kinds)}"
@@ -266,14 +293,14 @@ def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
     return index
 
 
-def _pipeline_inputs(settings: dict, seed: int):
+def _pipeline_inputs(settings: dict):
     """Corpus, records, backends (cached if configured) and index of a run."""
     corpus = load_taxonomy(_require_path(settings, "taxonomy"))
     records = load_dataset(_require_path(settings, "dataset"), corpus)
     generator, embedder, ranker = _wrap_with_cache(
         settings, _backend(_build_generator, settings["generator"]),
         _backend(_build_embedder, settings["embedder"]),
-        _backend(_build_ranker, settings["ranker"], seed))
+        _backend(_build_ranker, settings["ranker"], settings["seed"]))
     index = _load_or_build_index(settings, corpus, embedder)
     return corpus, records, generator, embedder, ranker, index
 
@@ -285,7 +312,7 @@ def _pipeline_inputs(settings: dict, seed: int):
 def cmd_embed_index(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     taxonomy_path = _require_path(settings, "taxonomy")
-    index_path = settings.get("index")
+    index_path = settings["index"]
     if not index_path:
         raise ConfigError("index output path is required (flag --index)")
     if Path(index_path).exists() and not args.force:
@@ -293,31 +320,35 @@ def cmd_embed_index(args: argparse.Namespace) -> int:
             f"index file exists: {index_path} (pass --force to overwrite)"
         )
     corpus = load_taxonomy(taxonomy_path)
-    embedder = _backend(_build_embedder, settings["embedder"])
+    _, embedder, _ = _wrap_with_cache(
+        settings, None, _backend(_build_embedder, settings["embedder"]), None)
     index = build_index(corpus, embedder)
     index.save(index_path)
     print(f"indexed {len(index)} tag documents (dim {index.dim}) -> {index_path}")
     return 0
 
 
-def _manifest(settings: dict, instruction: str, backend_ids: dict,
-              cache_counters: dict, counts: dict) -> dict:
+def _json_settings(settings: dict, keys=SETTINGS) -> dict:
+    """The settings ``keys`` as JSON holds them: enums by value."""
+    return {key: getattr(settings[key], "value", settings[key]) for key in keys}
+
+
+def _manifest(settings: dict, instruction: str, backends: dict,
+              counts: dict) -> dict:
     return {
-        "settings": {k: v for k, v in sorted(settings.items())},
+        "settings": _json_settings(settings),
         "seed": settings["seed"],
         "instruction_sha256": hashlib.sha256(
             instruction.encode("utf-8")).hexdigest(),
         "rerank_template_sha256": hashlib.sha256(
             default_rerank_template().encode("utf-8")).hexdigest(),
-        "backend_ids": backend_ids,
-        "cache": cache_counters,
+        "backend_ids": {name: backend.backend_id
+                        for name, backend in backends.items()},
+        "cache": {name: backend.counter.snapshot()
+                  for name, backend in backends.items()
+                  if hasattr(backend, "counter")},
         "counts": counts,
     }
-
-
-def _concurrency(settings: dict) -> int | None:
-    value = settings["concurrency"]
-    return None if value is None else int(value)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -325,33 +356,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
-        settings, config.seed)
+        settings)
 
     result = run_records(
         records, corpus, index, generator=generator, embedder=embedder,
         ranker=ranker, config=config, instruction=instruction,
-        concurrency=_concurrency(settings),
+        concurrency=settings["concurrency"],
     )
 
     predictions_path = Path(settings["predictions_out"])
     with predictions_path.open("w", encoding="utf-8") as fh:
         for line in result.predictions:
             fh.write(jsonl_line(line))
-    if settings.get("trace_out"):
+    if settings["trace_out"]:
         with Path(settings["trace_out"]).open("w", encoding="utf-8") as fh:
             for trace in result.traces:
                 fh.write(jsonl_line(trace))
 
     backends = {"generator": generator, "embedder": embedder, "ranker": ranker}
-    counters = {name: backend.counter.snapshot()
-                for name, backend in backends.items() if hasattr(backend, "counter")}
-    backend_ids = {name: backend.backend_id for name, backend in backends.items()}
-    manifest = _manifest(settings, instruction, backend_ids, counters,
-                         result.counts)
-    manifest_path = predictions_path.with_name(predictions_path.name
-                                               + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                             + "\n", encoding="utf-8")
+    _write_json(predictions_path.with_name(predictions_path.name
+                                           + ".manifest.json"),
+                _manifest(settings, instruction, backends, result.counts))
 
     rate = result.gold_in_top_k_rate()
     summary = (
@@ -367,12 +392,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predictions_path = Path(args.predictions)
-    if not predictions_path.exists():
-        raise ConfigError(f"predictions path does not exist: {predictions_path}")
-    dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        raise ConfigError(f"dataset path does not exist: {dataset_path}")
+    predictions_path = _require_path(vars(args), "predictions")
+    dataset_path = _require_path(vars(args), "dataset")
     lines = [(_require_str(doc, "record_id", predictions_path, lineno),
               _require_str(doc, "predicted_tag_id", predictions_path, lineno))
              for lineno, doc in _iter_jsonl(predictions_path)]
@@ -402,10 +423,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"n_records={report.n_records} n_classes={report.n_classes} "
           f"skipped_no_gold={no_gold}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.out, report.to_dict())
         print(f"report -> {args.out}")
     return 0
 
@@ -426,22 +444,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     template = _rerank_config(settings)
     instruction = _instruction_text(settings)
-    axis = _choice(SweepAxis, args.axis, "--axis")
+    axis = SweepAxis(args.axis)
     values = _parse_axis_values(axis, args.values)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
-        settings, template.seed)
+        settings)
 
     table = run_sweep(
         records, corpus, index, generator=generator, embedder=embedder,
         ranker=ranker, template=template, instruction=instruction,
-        axis=axis, values=values, concurrency=_concurrency(settings),
+        axis=axis, values=values, concurrency=settings["concurrency"],
     )
     print(table.render_text())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.out, table.to_dict())
         print(f"table -> {args.out}")
     return 0 if all(not c.failed for c in table.cells) else 1
 
@@ -460,25 +475,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = {
         "oracle": spec.label,
         "trials": args.trials,
-        "top_k": config.top_k,
-        "group_size": config.group_size,
-        "iterations": config.iterations,
-        "ordering": config.ordering.value,
-        "vote_mode": config.vote_mode.value,
-        "seed": config.seed,
+        **_json_settings(settings, RERANK_SETTINGS),
         "gold_rank_prior": args.gold_rank_prior,
         "recovery_rate": rate,
     }
     print(json.dumps(summary, sort_keys=True))
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, indent=2, sort_keys=True)
-                                  + "\n", encoding="utf-8")
+        _write_json(args.out, summary)
     return 0
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    cache_dir = settings.get("cache_dir")
+    cache_dir = settings["cache_dir"]
     if not cache_dir:
         raise ConfigError("cache directory is required (flag --cache-dir)")
     cache = be.ResponseCache(cache_dir)
@@ -494,38 +503,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common_flags(parser: argparse.ArgumentParser,
-                      *, rerank: bool = True, paths: bool = True) -> None:
+def _add_settings(parser: argparse.ArgumentParser, keys) -> None:
+    """``--config``, and one flag for each setting in ``keys``, named after it."""
     parser.add_argument("--config", help="JSON config file")
-    if paths:
-        parser.add_argument("--taxonomy", help="taxonomy JSONL path")
-        parser.add_argument("--dataset", help="dataset JSONL path")
-        parser.add_argument("--index", help="vector index path")
-        parser.add_argument("--cache-dir", dest="cache_dir",
-                            help="response cache directory")
-        parser.add_argument("--generator", help="generator backend spec")
-        parser.add_argument("--embedder", help="embedder backend spec")
-        parser.add_argument("--ranker", help="ranker backend spec")
-        parser.add_argument("--instruction-path", dest="instruction_path",
-                            help="generation instruction template file")
-        parser.add_argument("--concurrency", type=int,
-                            help="records worked on at a time (default: "
-                                 "the ranker's rate_limit.max_in_flight, "
-                                 "or 1 for an in-process ranker)")
-    if rerank:
-        parser.add_argument("--top-k", dest="top_k", type=int,
-                            help="retrieval depth")
-        parser.add_argument("--group-size", dest="group_size", type=int,
-                            help="re-ranking group size")
-        parser.add_argument("--iterations", type=int,
-                            help="re-ranking rounds")
-        parser.add_argument("--ordering",
-                            choices=[o.value for o in Ordering],
-                            help="intra-group presentation order")
-        parser.add_argument("--vote-mode", dest="vote_mode",
-                            choices=[v.value for v in VoteMode],
-                            help="vote counting semantics")
-        parser.add_argument("--seed", type=int, help="base random seed")
+    for key in keys:
+        _, kind, help_text = SETTINGS[key]
+        if isinstance(kind, EnumMeta):
+            help_text += f" ({' | '.join(e.value for e in kind)})"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,17 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-index", help="embed the taxonomy and persist "
                                            "the vector index")
-    _add_common_flags(p, rerank=False)
+    _add_settings(p, ("taxonomy", "index", "cache_dir", "embedder"))
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing index file")
     p.set_defaults(func=cmd_embed_index)
 
     p = sub.add_parser("run", help="run the full pipeline over a dataset")
-    _add_common_flags(p)
-    p.add_argument("--trace-out", dest="trace_out",
-                   help="write per-record re-ranking traces (JSONL)")
-    p.add_argument("--predictions-out", dest="predictions_out",
-                   help="predictions output path (JSONL)")
+    _add_settings(p, (*PIPELINE_SETTINGS, "trace_out", "predictions_out"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate", help="score a predictions file")
@@ -558,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="evaluate one parameter across values")
-    _add_common_flags(p)
+    _add_settings(p, PIPELINE_SETTINGS)
     p.add_argument("--axis", required=True,
                    choices=[a.value for a in SweepAxis])
     p.add_argument("--values", required=True,
@@ -567,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="oracle-ranker recovery experiment")
-    _add_common_flags(p, paths=False)
+    _add_settings(p, RERANK_SETTINGS)
     p.add_argument("--oracle", required=True,
                    help="perfect | noisy:<rate> | lexical | position-biased "
                         "| identity-echo")
@@ -583,9 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("stats", "entry count and total bytes"),
                             ("clear", "delete all cache entries")):
         cp = cache_sub.add_parser(name, help=help_text)
-        cp.add_argument("--config", help="JSON config file")
-        cp.add_argument("--cache-dir", dest="cache_dir",
-                        help="response cache directory")
+        _add_settings(cp, ("cache_dir",))
         cp.set_defaults(func=cmd_cache)
 
     return parser

@@ -21,9 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
-
-from .errors import ConfigError
+from typing import Sequence
 
 __all__ = [
     "PredictionSet",
@@ -36,7 +34,6 @@ __all__ = [
     "macro_metrics",
     "evaluate_predictions",
     "render_table",
-    "sweep",
 ]
 
 
@@ -213,27 +210,3 @@ class SweepTable:
                                      else ["failed", "-", "-", "-", "-"])
                 for cell in self.cells]
         return render_table((self.axis.value, *METRIC_COLUMNS), rows)
-
-
-def sweep(
-    axis: SweepAxis,
-    values: Sequence[object],
-    runner: Callable[[object], EvalReport],
-) -> SweepTable:
-    """Evaluate one configuration per axis value.
-
-    ``runner`` maps an axis value to an :class:`EvalReport` (typically by
-    running the pipeline with that single field overridden).  A failing cell
-    is marked and the sweep continues; a :class:`ConfigError` aborts it.
-    """
-    if not values:
-        raise ValueError("values must be non-empty")
-    cells: list[SweepCell] = []
-    for value in values:
-        try:
-            cells.append(SweepCell(value=value, report=runner(value)))
-        except ConfigError:  # systemic: every cell would fail alike
-            raise
-        except Exception as exc:  # per-cell isolation is the contract
-            cells.append(SweepCell(value=value, report=None, error=str(exc)))
-    return SweepTable(axis=axis, cells=tuple(cells))

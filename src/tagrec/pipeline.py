@@ -29,8 +29,8 @@ from typing import Sequence
 from .backends import GeneratorBackend, RankerBackend, generate
 from .corpus import NumeralRecord, TaxonomyCorpus
 from .errors import ConfigError, MissingGenerationError
-from .evaluation import EvalReport, PredictionSet, SweepAxis, SweepTable, \
-    evaluate_predictions, sweep
+from .evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
+    evaluate_predictions
 from .prompting import assemble_generation_input
 from .rerank import Ordering, RerankConfig, derive_seed, rerank_record
 from .retrieval import EmbedderBackend, IndexScan, VectorIndex, retrieve
@@ -212,15 +212,26 @@ def run_sweep(
     values: Sequence[object],
     concurrency: int | None = None,
 ) -> SweepTable:
-    """One pipeline evaluation per axis value; failed cells do not abort."""
+    """One pipeline evaluation per axis value.
 
-    def cell(value) -> EvalReport:
-        config = apply_axis(template, axis, value)
-        result = run_records(
-            records, corpus, index, generator=generator, embedder=embedder,
-            ranker=ranker, config=config, instruction=instruction,
-            concurrency=concurrency,
-        )
-        return evaluate_predictions(result.prediction_set())
-
-    return sweep(axis, values, cell)
+    A failed cell is marked and the sweep goes on; a :class:`ConfigError` is
+    systemic, as in :func:`run_records`, and aborts it.
+    """
+    if not values:
+        raise ValueError("values must be non-empty")
+    cells: list[SweepCell] = []
+    for value in values:
+        try:
+            config = apply_axis(template, axis, value)
+            result = run_records(
+                records, corpus, index, generator=generator, embedder=embedder,
+                ranker=ranker, config=config, instruction=instruction,
+                concurrency=concurrency,
+            )
+            cells.append(SweepCell(value=value, report=evaluate_predictions(
+                result.prediction_set())))
+        except ConfigError:  # every cell would fail alike
+            raise
+        except Exception as exc:
+            cells.append(SweepCell(value=value, report=None, error=str(exc)))
+    return SweepTable(axis=axis, cells=tuple(cells))

@@ -175,7 +175,7 @@ def synthetic_candidates(top_k: int, gold_rank: int) -> tuple[list[Candidate], d
     return candidates, texts, candidates[gold_rank - 1].tag_id
 
 
-def retrieval_like_weights(top_k: int, decay: float = 0.5) -> list[float]:
+def retrieval_like_weights(top_k: int) -> list[float]:
     """Geometric gold-rank prior resembling a working retriever.
 
     Real retrieval concentrates the gold tag at the best ranks; the uniform
@@ -184,7 +184,7 @@ def retrieval_like_weights(top_k: int, decay: float = 0.5) -> list[float]:
     no information about gold by symmetry, and ordering strategies cannot
     separate.
     """
-    return [decay ** (r - 1) for r in range(1, top_k + 1)]
+    return [0.5 ** (r - 1) for r in range(1, top_k + 1)]
 
 
 def recovery_experiment(

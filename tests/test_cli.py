@@ -1,15 +1,34 @@
 from __future__ import annotations
 
+import argparse
 import json
 import threading
 import time
 
 import pytest
 
-from tagrec.cli import main
+from tagrec.cli import build_parser, main
 from tagrec.retrieval import VectorIndex
 
-from conftest import make_records, write_dataset, write_taxonomy
+from conftest import TEN_TAGS, make_records, write_dataset, write_taxonomy
+
+HTTP_EMBEDDER = {"kind": "http", "model": "e",
+                 "base_url": "http://embedder.invalid/v1"}
+HTTP_RANKER = {"kind": "http", "model": "m",
+               "base_url": "http://ranker.invalid/v1"}
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """A request fails the test unless the test fakes the session itself."""
+    class RefusingSession:
+        def mount(self, prefix, adapter):
+            pass
+
+        def post(self, url, **kwargs):
+            raise AssertionError(f"unexpected request to {url}")
+
+    monkeypatch.setattr("requests.Session", RefusingSession)
 
 
 @pytest.fixture
@@ -19,8 +38,67 @@ def workspace(tmp_path):
     return tmp_path, taxonomy, dataset
 
 
+@pytest.fixture
+def embedding_session(monkeypatch):
+    """Stands in for requests.Session: every text embeds to 32 dimensions."""
+    class FakeSession:
+        calls = 0
+
+        def mount(self, prefix, adapter):
+            pass
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            FakeSession.calls += 1
+            return Reply(len(json["input"]))
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, n):
+            self.n = n
+
+        def json(self):
+            return {"data": [{"embedding": [0.5] * 32}] * self.n}
+
+    monkeypatch.setattr("requests.Session", FakeSession)
+    return FakeSession
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _flags(*command) -> set[str]:
+    """The settings (dests) of a subcommand's flags, ``--help`` aside."""
+    parser = build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {a.dest for a in parser._actions if a.dest != "help"}
+
+
+RERANK_FLAGS = {"top_k", "group_size", "iterations", "ordering", "vote_mode",
+                "seed"}
+PIPELINE_FLAGS = {"config", "taxonomy", "dataset", "index", "cache_dir",
+                  "generator", "embedder", "ranker", "instruction_path",
+                  "concurrency"} | RERANK_FLAGS
+
+
+@pytest.mark.parametrize("command, flags", [
+    (("embed-index",), {"config", "taxonomy", "index", "cache_dir",
+                        "embedder", "force"}),
+    (("run",), PIPELINE_FLAGS | {"trace_out", "predictions_out"}),
+    (("evaluate",), {"predictions", "dataset", "out"}),
+    (("sweep",), PIPELINE_FLAGS | {"axis", "values", "out"}),
+    (("simulate",), {"config", "oracle", "trials", "gold_rank_prior", "out"}
+     | RERANK_FLAGS),
+    (("cache", "stats"), {"config", "cache_dir"}),
+    (("cache", "clear"), {"config", "cache_dir"}),
+])
+def test_each_subcommand_takes_the_flags_of_the_settings_it_reads(command,
+                                                                  flags):
+    assert _flags(*command) == flags
 
 
 class TestEmbedIndex:
@@ -51,6 +129,20 @@ class TestEmbedIndex:
                        "--index", tmp_path / "x.idx")
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_cache_dir_serves_a_rebuild(self, workspace, embedding_session):
+        tmp, taxonomy, _ = workspace
+        config = tmp / "embed.json"
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        argv = ("embed-index", "--config", config, "--taxonomy", taxonomy,
+                "--index", tmp / "tags.idx", "--cache-dir", tmp / "cache",
+                "--force")
+        assert run_cli(*argv) == 0
+        assert embedding_session.calls == 1
+        first = (tmp / "tags.idx").read_bytes()
+        assert run_cli(*argv) == 0
+        assert embedding_session.calls == 1
+        assert (tmp / "tags.idx").read_bytes() == first
 
 
 class TestRun:
@@ -168,6 +260,62 @@ class TestRun:
         assert run_cli("run", "--config", config) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("iterations", None, "iterations must be an integer, got None"),
+        ("top_k", [3], "top_k must be an integer, got [3]"),
+        ("concurrency", "x", "concurrency must be an integer, got 'x'"),
+        ("ordering", "sideways", "ordering must be one of "
+                                 "['order-preserving', 'order-shuffled']"),
+        ("predictions_out", None, "predictions_out must be a string"),
+        ("ranker", 3, "ranker must be a backend spec string or object"),
+    ])
+    def test_config_value_of_a_wrong_type_exits_2(self, workspace, capsys,
+                                                  key, value, message):
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
+            key: value,
+        }))
+        assert run_cli("run", "--config", config) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "p.jsonl").exists()
+
+    def test_flag_value_of_a_wrong_type_exits_2(self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect", "--top-k", "ten") == 2
+        assert "top_k must be an integer, got 'ten'" in capsys.readouterr().err
+
+    def test_null_where_the_default_is_null(self, workspace):
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "taxonomy": str(taxonomy), "dataset": str(dataset),
+            "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
+            "index": None, "cache_dir": None, "concurrency": None,
+            "trace_out": None, "instruction_path": None,
+        }))
+        assert run_cli("run", "--config", config) == 0
+        manifest = json.loads((tmp / "p.jsonl.manifest.json").read_text())
+        assert manifest["settings"]["concurrency"] is None
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--ranker", HTTP_RANKER),
+        ("--embedder", HTTP_EMBEDDER),
+        ("--generator", HTTP_RANKER),
+    ])
+    def test_backend_object_as_a_flag_exits_2(self, workspace, capsys, flag,
+                                             spec):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect", flag, json.dumps(spec),
+                       "--predictions-out", tmp / "p.jsonl") == 2
+        err = capsys.readouterr().err
+        assert "goes in a --config file" in err
+        assert not (tmp / "p.jsonl").exists()
+
     def test_prebuilt_index_is_used(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
         index_path = tmp / "tags.idx"
@@ -178,6 +326,21 @@ class TestRun:
                        "--ranker", "perfect",
                        "--predictions-out", tmp / "p.jsonl")
         assert code == 0
+
+    def test_prebuilt_index_of_another_taxonomy_is_rejected(self, workspace,
+                                                            capsys):
+        tmp, taxonomy, dataset = workspace
+        index_path = tmp / "tags.idx"
+        other = write_taxonomy(tmp / "other.jsonl", TEN_TAGS[::-1])
+        assert run_cli("embed-index", "--taxonomy", other,
+                       "--index", index_path) == 0
+        code = run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--index", index_path, "--ranker", "perfect",
+                       "--predictions-out", tmp / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"index {index_path} does not match the taxonomy" in err
+        assert not (tmp / "p.jsonl").exists()
 
     def test_prebuilt_index_of_another_dimension_is_rejected(self, workspace,
                                                              capsys):
@@ -202,28 +365,8 @@ class TestRun:
         assert "64" in err and "256" in err
 
     def test_http_embedder_of_another_width_than_the_index_exits_2(
-            self, workspace, capsys, monkeypatch):
+            self, workspace, capsys, embedding_session):
         """Found from the first query vector, with no extra request."""
-        class FakeSession:
-            calls = 0
-
-            def mount(self, prefix, adapter):
-                pass
-
-            def post(self, url, json=None, headers=None, timeout=None):
-                FakeSession.calls += 1
-                return Reply(len(json["input"]))
-
-        class Reply:
-            status_code = 200
-
-            def __init__(self, n):
-                self.n = n
-
-            def json(self):
-                return {"data": [{"embedding": [0.5] * 32}] * self.n}
-
-        monkeypatch.setattr("requests.Session", FakeSession)
         tmp, taxonomy, dataset = workspace
         index_path = tmp / "tags.idx"
         assert run_cli("embed-index", "--taxonomy", taxonomy,
@@ -232,14 +375,12 @@ class TestRun:
         config.write_text(json.dumps({
             "taxonomy": str(taxonomy), "dataset": str(dataset),
             "index": str(index_path), "ranker": "perfect",
-            "embedder": {"kind": "http", "model": "e",
-                         "base_url": "http://embedder.invalid/v1"},
-            "predictions_out": str(tmp / "p.jsonl"),
+            "embedder": HTTP_EMBEDDER, "predictions_out": str(tmp / "p.jsonl"),
         }))
         assert run_cli("run", "--config", config) == 2
         err = capsys.readouterr().err
         assert "32-dimensional" in err and "64-dimensional" in err
-        assert FakeSession.calls == 1
+        assert embedding_session.calls == 1
         assert not (tmp / "p.jsonl").exists()
 
     def test_http_ranker_keeps_to_its_rate_limit(self, workspace,
@@ -303,9 +444,6 @@ class TestRun:
 class TestMalformedBackendSpecs:
     """A bad value in a backend spec exits 2 with a message, not a traceback."""
 
-    HTTP_RANKER = {"kind": "http", "model": "m",
-                   "base_url": "http://ranker.invalid/v1"}
-
     def _run(self, workspace, **specs):
         tmp, taxonomy, dataset = workspace
         config = tmp / "run.json"
@@ -323,6 +461,13 @@ class TestMalformedBackendSpecs:
         ("ranker", "noisy:2"),
         ("ranker", {**HTTP_RANKER, "timeout": "abc"}),
         ("ranker", {**HTTP_RANKER, "retry": 3}),
+        ("ranker", {**HTTP_RANKER, "temprature": 0.5}),
+        ("ranker", {**HTTP_RANKER, "retry": {"max_attempt": 2}}),
+        ("ranker", {**HTTP_RANKER, "rate_limit": {"max_inflight": 2}}),
+        ("ranker", {"kind": "perfect", "error_rate": 0.1}),
+        ("embedder", {"kind": "hash", "dims": 64}),
+        ("embedder", {**HTTP_EMBEDDER, "temperature": 0.0}),
+        ("generator", {"kind": "file", "path": "x"}),
     ])
     def test_bad_spec_value_exits_2(self, workspace, capsys, role, spec):
         assert self._run(workspace, **{role: spec}) == 2
@@ -337,7 +482,7 @@ class TestMalformedBackendSpecs:
     def test_zero_retries_or_timeout_exit_2(self, workspace, capsys, setting,
                                             message):
         """Without the check the run exits 0 with every record failed."""
-        assert self._run(workspace, ranker={**self.HTTP_RANKER, **setting}) == 2
+        assert self._run(workspace, ranker={**HTTP_RANKER, **setting}) == 2
         assert message in capsys.readouterr().err
         assert not (workspace[0] / "p.jsonl").exists()
 
@@ -488,6 +633,7 @@ class TestSimulate:
 
 class TestBackendSpecs:
     def test_http_ranker_spec_with_retry_and_rate_limit(self):
+        from tagrec import backends as be
         from tagrec.cli import _build_ranker
         ranker = _build_ranker({
             "kind": "http", "model": "m", "base_url": "http://api.test/v1",
@@ -497,7 +643,15 @@ class TestBackendSpecs:
         }, seed=0)
         assert ranker.backend_id == "http-ranker:m"
         assert ranker.temperature == 0.5
-        assert ranker._client.retry.max_attempts == 2
+        assert ranker._client.retry == be.RetryPolicy(max_attempts=2,
+                                                      base_delay=0.1)
+
+    def test_object_and_string_specs_build_alike(self):
+        from tagrec.cli import _build_embedder, _build_ranker
+        assert _build_embedder({"kind": "hash", "dim": 64}).backend_id == \
+            _build_embedder("hash:64").backend_id
+        assert _build_ranker({"kind": "noisy", "error_rate": 0.25}, seed=9) \
+            .spec == _build_ranker("noisy:0.25", seed=9).spec
 
     def test_unknown_kinds_rejected(self):
         from tagrec.cli import _build_embedder, _build_generator, _build_ranker

@@ -3,9 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tagrec.errors import ConfigError
-from tagrec.evaluation import PredictionSet, SweepAxis, \
-    evaluate_predictions, hits_at_1, macro_metrics, sweep
+from tagrec.evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
+    evaluate_predictions, hits_at_1, macro_metrics
 
 
 def pset(*triples):
@@ -158,46 +157,24 @@ class TestPredictionSet:
             pset(("r1", "", "A"))
 
 
-class TestSweep:
-    def test_single_value_matches_direct_run(self):
-        preds = pset(("r1", "A", "A"), ("r2", "B", "A"))
-        table = sweep(SweepAxis.GROUP_SIZE, [5],
-                      lambda value: evaluate_predictions(preds))
-        assert len(table.cells) == 1
-        assert table.cells[0].report == evaluate_predictions(preds)
+class TestSweepTable:
+    """Rendering; the sweep loop itself is tested through ``run_sweep``."""
 
-    def test_failed_cell_continues(self):
-        def runner(value):
-            if value == 2:
-                raise RuntimeError("cell exploded")
-            return evaluate_predictions(pset(("r1", "A", "A")))
-
-        table = sweep(SweepAxis.ITERATIONS, [1, 2, 3], runner)
-        assert [c.failed for c in table.cells] == [False, True, False]
-        assert "cell exploded" in table.cells[1].error
-
-    def test_config_error_aborts_the_sweep(self):
-        def runner(value):
-            raise ConfigError("the embedder does not fit the index")
-
-        with pytest.raises(ConfigError, match="does not fit"):
-            sweep(SweepAxis.ITERATIONS, [1, 2], runner)
+    REPORT = evaluate_predictions(pset(("r1", "A", "A")))
 
     def test_render_text_shape(self):
-        table = sweep(SweepAxis.ITERATIONS, [1, 2],
-                      lambda v: evaluate_predictions(pset(("r1", "A", "A"))))
-        text = table.render_text()
-        lines = text.splitlines()
+        table = SweepTable(axis=SweepAxis.ITERATIONS, cells=(
+            SweepCell(value=1, report=self.REPORT),
+            SweepCell(value=2, report=None, error="cell exploded")))
+        lines = table.render_text().splitlines()
         assert len(lines) == 4  # header, rule, two rows
         assert "Hits@1" in lines[0] and "AVG" in lines[0]
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(SweepAxis.ITERATIONS, [], lambda v: None)
+        assert lines[3].split()[:2] == ["2", "failed"]
 
     def test_to_dict(self):
-        table = sweep(SweepAxis.ORDERING, ["order-preserving"],
-                      lambda v: evaluate_predictions(pset(("r1", "A", "A"))))
+        table = SweepTable(axis=SweepAxis.ORDERING, cells=(
+            SweepCell(value="order-preserving", report=self.REPORT),))
         doc = table.to_dict()
         assert doc["axis"] == "ordering"
         assert doc["cells"][0]["report"]["hits_at_1"] == 1.0
+        assert doc["cells"][0]["error"] is None

@@ -14,7 +14,7 @@ from tagrec.rerank import Ordering, RerankConfig, VoteMode
 from tagrec.retrieval import IndexScan, VectorIndex, build_index
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
-from conftest import make_corpus, make_records
+from conftest import TEN_TAGS, make_corpus, make_records
 
 
 @pytest.fixture
@@ -95,6 +95,12 @@ class TestRunRecords:
         with pytest.raises(ConfigError, match="top_k"):
             run(parts, make_records(2),
                 config=RerankConfig(top_k=11, group_size=5))
+
+    def test_index_of_another_taxonomy_is_systemic(self, parts):
+        corpus, _, embedder = parts
+        reordered = build_index(make_corpus(TEN_TAGS[::-1]), embedder)
+        with pytest.raises(ConfigError, match="do not match the taxonomy"):
+            run((corpus, reordered, embedder), make_records(2))
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_embedder_of_another_width_than_the_index_is_systemic(
@@ -244,10 +250,33 @@ class TestRunSweep:
             generator=FileBackedGenerator(), embedder=embedder,
             ranker=OracleRanker(OracleSpec(OracleKind.PERFECT)),
             template=RerankConfig(seed=3), instruction="inst",
-            axis=SweepAxis.GROUP_SIZE, values=[5, 11],
+            axis=SweepAxis.GROUP_SIZE, values=[5, 11, 4],
         )
-        assert not table.cells[0].failed
-        assert table.cells[1].failed
+        assert [c.failed for c in table.cells] == [False, True, False]
+        assert "group_size must not exceed top_k" in table.cells[1].error
+        assert table.cells[1].report is None
+
+    def test_config_error_aborts_the_sweep(self, parts):
+        corpus, index, embedder = parts
+        with pytest.raises(ConfigError, match="exceeds the index size"):
+            run_sweep(
+                make_records(3), corpus, index,
+                generator=FileBackedGenerator(), embedder=embedder,
+                ranker=OracleRanker(OracleSpec(OracleKind.PERFECT)),
+                template=RerankConfig(top_k=11), instruction="inst",
+                axis=SweepAxis.ITERATIONS, values=[1, 2],
+            )
+
+    def test_empty_values_rejected(self, parts):
+        corpus, index, embedder = parts
+        with pytest.raises(ValueError, match="non-empty"):
+            run_sweep(
+                make_records(3), corpus, index,
+                generator=FileBackedGenerator(), embedder=embedder,
+                ranker=OracleRanker(OracleSpec(OracleKind.PERFECT)),
+                template=RerankConfig(), instruction="inst",
+                axis=SweepAxis.ITERATIONS, values=[],
+            )
 
     def test_group_size_single_value_consistency(self, parts):
         corpus, index, embedder = parts
