@@ -10,7 +10,8 @@ any of them can be swapped by configuration alone:
 * embedder -- maps texts to fixed-dimension vectors.  The deterministic hash
   embedder (bag of hashed tokens, L2-normalized) makes retrieval and
   re-ranking fully reproducible offline; a remote embedding backend covers
-  real encoders.
+  real encoders, and overlaps an index build's batch requests up to its
+  rate limiter's cap (``embed_batches``).
 * ranker -- answers a listwise re-ranking prompt with a permutation reply.
   Remote rankers speak the common chat-completions wire shape; offline
   oracle rankers live in :mod:`tagrec.sim`.
@@ -31,9 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -109,6 +113,19 @@ class CacheEntry:
     backend_id: str
 
 
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def _make_dir(path: str) -> None:
+    """Make the directory ``path`` and, only when missing too, its parent."""
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:  # another writer made it first
+        pass
+
+
 class ResponseCache:
     """Content-addressed response store: one immutable file per entry.
 
@@ -146,14 +163,18 @@ class ResponseCache:
             "created_at": entry.created_at,
             "backend_id": entry.backend_id,
         }, ensure_ascii=False).encode("utf-8")
+        # A name of this writer's own beside the entry, so the link below
+        # stays on one file system.
+        tmp = f"{parent}/{entry.key}.{os.urandom(8).hex()}.tmp"
         try:
-            fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+            fd = os.open(tmp, _NEW_FILE, 0o600)
         except FileNotFoundError:  # the entry's directory is made on demand
-            os.makedirs(parent, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+            _make_dir(parent)
+            fd = os.open(tmp, _NEW_FILE, 0o600)
         try:
-            with open(fd, "wb") as fh:
-                fh.write(data)
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
             # Exclusive create of the complete file: of several writers of
             # one key exactly one links, and the others compare with it.
             os.link(tmp, f"{parent}/{entry.key}.json")
@@ -161,6 +182,7 @@ class ResponseCache:
         except FileExistsError:
             existing = self.get(entry.key)
         finally:
+            os.close(fd)
             os.unlink(tmp)
         # None: a clear() came in between, and the entry stays cleared.
         if existing is not None and existing.response != entry.response:
@@ -424,22 +446,34 @@ class _HttpClient:
         self._sleep = sleep
 
     def post_json(self, path: str, body: dict) -> dict:
+        return self._json(self.post(path, body)[0])
+
+    def post(self, path: str, body: dict, *, stream: bool = False,
+             attempt: int = 0, last_error: Exception | None = None):
+        """The first 200 reply to POSTing ``body``, and the attempt that got it.
+
+        Transport errors and transient statuses are retried, from attempt
+        number ``attempt`` on; ``last_error`` is the failure that ended the
+        attempt before it, if any.  With ``stream`` the reply's body is left
+        unread for :meth:`read_json`.
+        """
         url = f"{self.base_url}{path}"
         headers = {"Content-Type": "application/json"}
         key = _api_key(self.role)
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        last_error: Exception | None = None
+        options = {"json": body, "headers": headers, "timeout": self.timeout}
+        if stream:
+            options["stream"] = True
         retry_after = 0.0
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(attempt, self.retry.max_attempts):
             if attempt > 0:
                 self._sleep(min(max(self.retry.delay(attempt - 1), retry_after),
                                 self.retry.max_delay))
             retry_after = 0.0
             try:
                 with self.limiter:
-                    resp = self.session.post(url, json=body, headers=headers,
-                                             timeout=self.timeout)
+                    resp = self.session.post(url, **options)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
@@ -449,20 +483,51 @@ class _HttpClient:
             if status in _TRANSIENT_STATUS:
                 last_error = BackendError(f"{self.role}: transient HTTP {status}")
                 retry_after = _retry_after_seconds(resp)
+                if stream:  # give its connection back to the pool
+                    resp.close()
                 continue
             if status != 200:
                 raise BackendError(f"{self.role}: HTTP {status}: {resp.text[:500]}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise BackendError(f"{self.role}: non-JSON response") from exc
+            return resp, attempt
         raise BackendError(
             f"{self.role}: giving up after {self.retry.max_attempts} attempts: "
             f"{last_error}"
         )
 
+    def read_json(self, path: str, body: dict, resp, attempt: int) -> dict:
+        """The decoded body of a streamed reply that :meth:`post` returned.
 
-class _HttpChat:
+        A transport error while reading the body sends the request again
+        from this thread, within the same attempts.
+        """
+        while True:
+            try:
+                # Only reading counts: requests' JSON errors are
+                # RequestExceptions too, and must not be retried.
+                resp.content
+                break
+            except requests.RequestException as exc:
+                resp, attempt = self.post(path, body, stream=True,
+                                          attempt=attempt + 1, last_error=exc)
+        return self._json(resp)
+
+    def _json(self, resp) -> dict:
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise BackendError(f"{self.role}: non-JSON response") from exc
+
+
+class _HttpBackend:
+    """A backend that sends its calls through one :class:`_HttpClient`."""
+
+    @property
+    def max_in_flight(self) -> int:
+        """The rate limiter's cap on calls in flight."""
+        return self._client.limiter.max_in_flight
+
+
+class _HttpChat(_HttpBackend):
     """A chat-completions backend: the request's prompt as the user message.
 
     Each subclass sets its ``role`` and cache ``kind`` and defines
@@ -478,11 +543,6 @@ class _HttpChat:
         self.system = system
         self._client = _HttpClient(self.role, base_url, **client_kwargs)
         self.backend_id = f"http-{self.role}:{model}"
-
-    @property
-    def max_in_flight(self) -> int:
-        """The rate limiter's cap on calls in flight."""
-        return self._client.limiter.max_in_flight
 
     def request_of(self, request) -> BackendRequest:
         params = (("temperature", repr(self.temperature)),)
@@ -533,7 +593,7 @@ class HttpChatRanker(_HttpChat):
         return self._complete(request)
 
 
-class HttpEmbedder:
+class HttpEmbedder(_HttpBackend):
     """Embeds texts through an embeddings endpoint, input order preserved."""
 
     def __init__(self, model: str, base_url: str, **client_kwargs):
@@ -545,9 +605,47 @@ class HttpEmbedder:
         return BackendRequest(kind="embed", model_id=self.model,
                               payload=json.dumps(list(texts), ensure_ascii=False))
 
+    def _body(self, texts: list[str]) -> dict:
+        return {"model": self.model, "input": list(texts)}
+
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        doc = self._client.post_json("/embeddings", {"model": self.model,
-                                                     "input": list(texts)})
+        return self._vectors(texts, self._client.post_json("/embeddings",
+                                                           self._body(texts)))
+
+    def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
+        """Each batch's vectors in batch order, ``max_in_flight`` sent at once.
+
+        Worker threads only send a request and wait for its 200 reply,
+        retrying as :meth:`embed_batch` does.  This thread reads, decodes and
+        checks each reply's body, so no worker holds a batch's decoded data.
+        A batch is sent only while fewer than ``max_in_flight`` replies are
+        unread.  Closing the generator cancels the batches not yet sent and
+        waits for those in flight, so no thread outlives it.
+        """
+        pending: deque = deque()  # (texts, body, future of post)
+        pool = ThreadPoolExecutor(self.max_in_flight,
+                                  thread_name_prefix="tagrec-embed")
+        try:
+            for texts in batches:
+                body = self._body(texts)
+                pending.append((texts, body, pool.submit(
+                    self._client.post, "/embeddings", body, stream=True)))
+                if len(pending) == self.max_in_flight:
+                    yield self._read(*pending.popleft())
+            while pending:
+                yield self._read(*pending.popleft())
+        finally:
+            pool.shutdown(cancel_futures=True)
+            for _, _, future in pending:  # replies never read
+                if not future.cancelled() and future.exception() is None:
+                    future.result()[0].close()
+
+    def _read(self, texts: list[str], body: dict, future) -> np.ndarray:
+        return self._vectors(texts, self._client.read_json("/embeddings", body,
+                                                           *future.result()))
+
+    @staticmethod
+    def _vectors(texts: list[str], doc: dict) -> np.ndarray:
         try:
             vectors = [item["embedding"] for item in doc["data"]]
         except (KeyError, TypeError) as exc:
@@ -607,19 +705,27 @@ class _CachingBase:
         """The wrapped backend's cap on calls in flight, if it has one."""
         return getattr(self.inner, "max_in_flight", None)
 
-    def _cached_call(self, request: BackendRequest, call) -> str:
-        key = request.cache_key()
+    def _join(self, key: str) -> list:
+        """Queue for ``key``'s turn: its [lock, callers] pair (see ``_leave``)."""
         with self._guard:
             turn = self._turns.setdefault(key, [threading.Lock(), 0])
             turn[1] += 1
+        return turn
+
+    def _leave(self, key: str, turn: list) -> None:
+        with self._guard:
+            turn[1] -= 1
+            if not turn[1]:
+                del self._turns[key]
+
+    def _cached_call(self, request: BackendRequest, call) -> str:
+        key = request.cache_key()
+        turn = self._join(key)
         try:
             with turn[0]:
                 return self._get_or_call(key, call)
         finally:
-            with self._guard:
-                turn[1] -= 1
-                if not turn[1]:
-                    del self._turns[key]
+            self._leave(key, turn)
 
     def _get_or_call(self, key: str, call) -> str:
         entry = self.cache.get(key)
@@ -627,11 +733,14 @@ class _CachingBase:
             self.counter.record(hit=True)
             return entry.response
         response = call()
+        self._store(key, response)
+        return response
+
+    def _store(self, key: str, response: str) -> None:
         self.cache.put(CacheEntry(key=key, response=response,
                                   created_at=time.time(),
                                   backend_id=self.inner.backend_id))
         self.counter.record(hit=False)
-        return response
 
 
 class CachingGenerator(_CachingBase):
@@ -648,6 +757,11 @@ class CachingRanker(_CachingBase):
                                  lambda: self.inner.rank_listwise(request))
 
 
+def _vectors_json(vectors: np.ndarray) -> str:
+    """An embedding entry's response: floats round-trip through their repr."""
+    return json.dumps(vectors.tolist())
+
+
 class CachingEmbedder(_CachingBase):
     """Caches per-batch embedding responses (vectors stored as JSON)."""
 
@@ -657,7 +771,7 @@ class CachingEmbedder(_CachingBase):
         def call() -> str:
             vectors = np.asarray(self.inner.embed_batch(texts))
             fresh.append(vectors)
-            return json.dumps(vectors.tolist())
+            return _vectors_json(vectors)
 
         response = self._cached_call(self.inner.request_of(texts), call)
         # A miss returns the vectors it stored without parsing them back:
@@ -665,3 +779,66 @@ class CachingEmbedder(_CachingBase):
         # same as a hit's.
         return np.asarray(fresh[0] if fresh else json.loads(response),
                           dtype=np.float64)
+
+    def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
+        """Each batch's vectors, in batch order; runs of misses overlap.
+
+        This thread takes each batch's turn, looks it up and stores each
+        reply, so a hit never reaches the network.  Runs of misses go to the
+        inner embedder's ``embed_batches``.  A hit, a key in another call's
+        turn or a failed lookup ends a run; that batch is served once the
+        run's replies are stored and their turns given back, so this thread
+        never waits for a turn while it holds one.  An inner embedder without
+        ``embed_batches`` gets the batches one at a time.
+        """
+        overlapped = getattr(self.inner, "embed_batches", None)
+        if overlapped is None:
+            yield from map(self.embed_batch, batches)
+            return
+        batches = iter(batches)
+        sent: deque = deque()  # (key, turn) of each miss sent, until stored
+        ended = []  # the batch that ended the last run, and its entry on a hit
+
+        def misses():
+            for texts in batches:
+                key = self.inner.request_of(texts).cache_key()
+                turn = self._join(key)
+                entry = None
+                if turn[0].acquire(blocking=False):
+                    try:
+                        entry = self.cache.get(key)
+                    except Exception:  # embed_batch raises it in batch order
+                        pass
+                    else:
+                        if entry is None:
+                            sent.append((key, turn))
+                            yield texts
+                            continue
+                    turn[0].release()
+                self._leave(key, turn)
+                ended.append((texts, entry))
+                return
+
+        try:
+            while True:
+                with closing(overlapped(misses())) as run:
+                    for vectors in run:
+                        key, turn = sent.popleft()
+                        try:
+                            self._store(key, _vectors_json(np.asarray(vectors)))
+                        finally:
+                            turn[0].release()
+                            self._leave(key, turn)
+                        yield np.asarray(vectors, dtype=np.float64)
+                if not ended:
+                    return
+                texts, entry = ended.pop()
+                if entry is None:
+                    yield self.embed_batch(texts)
+                else:
+                    self.counter.record(hit=True)
+                    yield np.asarray(json.loads(entry.response), dtype=np.float64)
+        finally:
+            for key, turn in sent:
+                turn[0].release()
+                self._leave(key, turn)

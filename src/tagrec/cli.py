@@ -353,6 +353,12 @@ def _manifest(settings: dict, instruction: str, backends: dict,
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
+    # The outputs are written after every record has run: a missing
+    # directory is reported before that work, not after it.
+    for key in ("predictions_out", "trace_out"):
+        if settings[key] and not Path(settings[key]).parent.is_dir():
+            raise ConfigError(f"{key} {settings[key]}: its directory "
+                              "does not exist")
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
@@ -490,6 +496,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     cache_dir = settings["cache_dir"]
     if not cache_dir:
         raise ConfigError("cache directory is required (flag --cache-dir)")
+    if not Path(cache_dir).is_dir():  # a ResponseCache would make it
+        raise ConfigError(f"cache directory does not exist: {cache_dir}")
     cache = be.ResponseCache(cache_dir)
     if args.cache_command == "stats":
         print(json.dumps(cache.stats(), sort_keys=True))

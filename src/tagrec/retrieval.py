@@ -133,37 +133,55 @@ class VectorIndex:
         return cls(tag_ids=tuple(ids), vectors=vecs.astype(np.float32, copy=False))
 
 
-def _embed(embedder: EmbedderBackend, texts: list[str], what: str) -> np.ndarray:
-    """One row per text, or a :class:`BackendError` that names ``what``."""
+def _embed(call, n: int, what: str) -> np.ndarray:
+    """``call()``'s vectors for ``n`` texts, or a BackendError naming ``what``."""
     try:
-        vecs = np.asarray(embedder.embed_batch(texts))
+        vecs = np.asarray(call())
     except Exception as exc:
         raise BackendError(f"embedding failed for {what}: {exc}") from exc
-    if vecs.ndim != 2 or vecs.shape[0] != len(texts):
+    if vecs.ndim != 2 or vecs.shape[0] != n:
         raise BackendError(
-            f"embedder returned shape {vecs.shape} for {len(texts)} texts")
+            f"embedder returned shape {vecs.shape} for {n} texts")
     return vecs
 
 
 def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
                 batch_size: int = 64) -> VectorIndex:
-    """Embed every tag document and assemble the index in corpus order."""
+    """Embed every tag document and assemble the index in corpus order.
+
+    An embedder with an ``embed_batches`` method is handed every batch at
+    once, and may overlap their requests up to its own cap (see
+    :meth:`~tagrec.backends.HttpEmbedder.embed_batches`); any other gets one
+    ``embed_batch`` call per batch, one after another.  Rows land in batch
+    order either way, and the embedder's threads, if any, are joined before
+    this returns or raises.
+    """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     ids = [doc.tag_id for doc in corpus.docs]
     texts = [doc.text for doc in corpus.docs]
+    starts = range(0, len(texts), batch_size)
+    batches = (texts[start:start + batch_size] for start in starts)
+    overlapped = getattr(embedder, "embed_batches", None)
+    results = (overlapped(batches) if overlapped
+               else map(embedder.embed_batch, batches))
     vectors: np.ndarray | None = None
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start:start + batch_size]
-        vecs = _embed(embedder, chunk, f"batch starting at tag {ids[start]!r}")
-        if vectors is None:
-            vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32)
-        elif vecs.shape[1] != vectors.shape[1]:
-            raise BackendError(
-                f"embedding dimension changed across batches: {vectors.shape[1]} "
-                f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
-            )
-        vectors[start:start + len(chunk)] = vecs
+    try:
+        for start in starts:
+            n = min(batch_size, len(texts) - start)
+            vecs = _embed(results.__next__, n,
+                          f"batch starting at tag {ids[start]!r}")
+            if vectors is None:
+                vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32)
+            elif vecs.shape[1] != vectors.shape[1]:
+                raise BackendError(
+                    f"embedding dimension changed across batches: {vectors.shape[1]} "
+                    f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
+                )
+            vectors[start:start + n] = vecs
+    finally:
+        if overlapped:
+            results.close()
     return VectorIndex(tag_ids=tuple(ids), vectors=vectors)
 
 
@@ -254,7 +272,8 @@ def retrieve(
     """Embed one generated tag document and return its Top-k candidates."""
     if not gen_doc:
         raise ValueError(f"record {record.record_id!r}: gen_doc is empty")
-    vecs = _embed(embedder, [gen_doc], f"record {record.record_id!r}")
+    vecs = _embed(lambda: embedder.embed_batch([gen_doc]), 1,
+                  f"record {record.record_id!r}")
     if vecs.shape[1] != index.dim:
         raise ConfigError(f"the embedder makes {vecs.shape[1]}-dimensional vectors "
                           f"but the index holds {index.dim}-dimensional ones")

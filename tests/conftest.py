@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+import requests
 
+from tagrec.backends import HashEmbedder
 from tagrec.corpus import NumeralRecord, TagDocument, TaxonomyCorpus
 
 # Ten distinct tag documents with mostly disjoint token sets, so the hash
@@ -81,6 +86,94 @@ def write_dataset(path: Path, records) -> Path:
 @pytest.fixture
 def ten_tag_corpus() -> TaxonomyCorpus:
     return make_corpus()
+
+
+# --------------------------------------------------------------------------
+# A fake embeddings endpoint whose replies complete out of order
+
+
+class FakeEmbeddingService:
+    """Stands in for ``requests.Session`` in front of an embeddings endpoint.
+
+    Each text embeds to its 8-dimensional hash-bag vector, so a batch's
+    vectors do not depend on the order requests are served in.  Request
+    number ``i`` waits ``delays[i % len(delays)]`` seconds for its status,
+    so replies complete out of order.  A request is in flight from ``post``
+    until its body is read or its reply closed; ``peak`` is the most in
+    flight at once.  ``script`` maps a batch's first text to what its first
+    attempts get instead of a good reply: an HTTP status (with
+    ``Retry-After: 1``), ``"read-error"``, a transport error while the
+    body is read, or ``"wide"``, vectors of twice the width.
+    """
+
+    def __init__(self, delays=(0.03, 0.0, 0.015), script=None):
+        self.delays = delays
+        self.script = {text: list(plan) for text, plan in (script or {}).items()}
+        self.lock = threading.Lock()
+        self.sent: list[str] = []  # each request's first text, in send order
+        self.active = self.peak = 0
+        self._embedder = HashEmbedder(dim=8)
+
+    def mount(self, prefix, adapter):
+        pass
+
+    def post(self, url, json=None, headers=None, timeout=None, stream=False):
+        texts = json["input"]
+        with self.lock:
+            delay = self.delays[len(self.sent) % len(self.delays)]
+            self.sent.append(texts[0])
+            plan = self.script.get(texts[0])
+            outcome = plan.pop(0) if plan else None
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(delay)
+        if isinstance(outcome, int):
+            reply = FakeEmbeddingReply(self, outcome, None)
+        else:
+            vectors = self._embedder.embed_batch(texts)
+            if outcome == "wide":
+                vectors = np.hstack([vectors, vectors])
+            doc = {"data": [{"embedding": v} for v in vectors.tolist()]}
+            reply = FakeEmbeddingReply(self, 200, doc, outcome == "read-error")
+        if not stream:  # requests reads the body before it returns
+            reply.content
+        return reply
+
+    def vectors(self, texts) -> np.ndarray:
+        return self._embedder.embed_batch(list(texts))
+
+
+class FakeEmbeddingReply:
+    text = "scripted failure"
+    headers = {"Retry-After": "1"}
+
+    def __init__(self, service, status_code, doc, read_error=False):
+        self.status_code = status_code
+        self._service = service
+        self._doc = doc
+        self._read_error = read_error
+        self._open = True
+
+    @property
+    def content(self) -> bytes:
+        self.close()
+        if self._read_error:
+            raise requests.ConnectionError("connection reset while reading")
+        return b"the body"
+
+    def json(self):
+        return self._doc
+
+    def close(self) -> None:
+        with self._service.lock:
+            if self._open:
+                self._open = False
+                self._service.active -= 1
+
+
+def embed_threads() -> list[threading.Thread]:
+    """The threads of :meth:`HttpEmbedder.embed_batches` still alive."""
+    return [t for t in threading.enumerate() if t.name.startswith("tagrec-embed")]
 
 
 # --------------------------------------------------------------------------

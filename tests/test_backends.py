@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from tagrec.errors import BackendError, CacheConflictError, \
     MissingGenerationError
 from tagrec.prompting import assemble_generation_input
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
+
+from conftest import FakeEmbeddingService, embed_threads
 
 
 class TestBackendRequest:
@@ -137,6 +144,54 @@ class TestResponseCache:
         assert cache.get(key).response in {f"reply {i}" for i in range(8)}
         assert cache.stats()["entries"] == 1
         assert list((tmp_path / "cache").rglob("*.tmp")) == []
+
+    def test_writers_racing_to_make_one_directory(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        keys = [f"abcd{i:060x}" for i in range(8)]  # one directory, 8 entries
+        start = threading.Barrier(8, timeout=10)
+        errors = []
+
+        def writer(key):
+            start.wait()
+            try:
+                cache.put(CacheEntry(key=key, response=key, created_at=0.0,
+                                     backend_id="t"))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [cache.get(k).response for k in keys] == keys
+        assert sorted(p.name for p in (tmp_path / "cache" / "ab" / "cd").iterdir()) \
+            == sorted(f"{k}.json" for k in keys)
+
+    def test_temp_file_is_private_and_beside_the_entry(self, tmp_path,
+                                                       monkeypatch):
+        cache = ResponseCache(tmp_path / "cache")
+        key = "dd" * 32
+        linked = []
+        link = os.link
+
+        def recording_link(src, dst):
+            linked.append((src, os.stat(src).st_mode & 0o777))
+            link(src, dst)
+        monkeypatch.setattr(os, "link", recording_link)
+        cache.put(CacheEntry(key=key, response="r", created_at=0.0,
+                             backend_id="t"))
+        [(tmp, mode)] = linked
+        assert re.fullmatch(rf".*/cache/dd/dd/{key}\.[0-9a-f]{{16}}\.tmp", tmp)
+        assert mode == 0o600  # as tempfile.mkstemp made it
+        assert not os.path.exists(tmp)
 
     def test_put_of_a_new_key_reads_nothing(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path / "cache")
@@ -593,6 +648,186 @@ class Float32Embedder:
                         dtype=np.float32)
 
 
+BATCHES = [[f"batch{b} text{i} shared words" for i in range(3)] for b in range(7)]
+
+
+def capped_embedder(service, cap=3, retry=FAST_RETRY, **kwargs):
+    return HttpEmbedder("e1", "http://api.test/v1", session=service, retry=retry,
+                        limiter=RateLimiter(max_in_flight=cap), **kwargs)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def one_at_a_time(batches):
+    """Each batch's vectors from a fresh embedder, one call after another."""
+    embedder = capped_embedder(FakeEmbeddingService(delays=(0.0,)))
+    return [embedder.embed_batch(texts) for texts in batches]
+
+
+class TestOverlappedBatches:
+    """``HttpEmbedder.embed_batches`` against replies that complete out of order."""
+
+    def test_batches_come_back_in_order_with_the_cap_in_flight(self):
+        service = FakeEmbeddingService()
+        got = list(capped_embedder(service).embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        assert service.sent == [texts[0] for texts in BATCHES]
+        assert service.peak == 3
+        assert service.active == 0
+        assert embed_threads() == []
+
+    @pytest.mark.parametrize("cap", [1, 2, 8])
+    def test_never_more_than_the_cap_in_flight(self, cap):
+        service = FakeEmbeddingService()
+        got = list(capped_embedder(service, cap=cap).embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        assert service.peak == min(cap, len(BATCHES))
+
+    def test_a_429_with_retry_after_is_retried(self):
+        service = FakeEmbeddingService(script={BATCHES[2][0]: [429]})
+        sleeps = []
+        embedder = capped_embedder(
+            service, retry=RetryPolicy(max_attempts=3, base_delay=0.0,
+                                       max_delay=5.0), sleep=sleeps.append)
+        got = list(embedder.embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        assert sleeps == [1.0]
+        assert service.sent.count(BATCHES[2][0]) == 2
+        assert service.active == 0
+
+    def test_a_transport_error_while_reading_a_body_is_retried(self):
+        service = FakeEmbeddingService(script={BATCHES[4][0]: ["read-error"]})
+        got = list(capped_embedder(service).embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        assert service.sent.count(BATCHES[4][0]) == 2
+        assert service.active == 0
+
+    def test_read_errors_use_up_the_same_attempts(self):
+        service = FakeEmbeddingService(
+            script={BATCHES[1][0]: ["read-error", 503, "read-error"]})
+        batches = capped_embedder(service).embed_batches(BATCHES)
+        next(batches)
+        with pytest.raises(BackendError, match="giving up after 3 attempts: "
+                                               "connection reset"):
+            next(batches)
+        assert service.sent.count(BATCHES[1][0]) == 3
+        assert embed_threads() == []
+        assert service.active == 0
+
+    def test_a_failing_batch_raises_in_its_place(self):
+        service = FakeEmbeddingService(script={BATCHES[3][0]: [503] * 3})
+        batches = capped_embedder(service).embed_batches(BATCHES)
+        assert_same_bits([next(batches) for _ in range(3)],
+                         one_at_a_time(BATCHES[:3]))
+        with pytest.raises(BackendError, match="giving up after 3 attempts"):
+            next(batches)
+        assert embed_threads() == []
+        assert service.active == 0
+
+    def test_closing_early_joins_the_threads_and_closes_unread_replies(self):
+        service = FakeEmbeddingService()
+        batches = capped_embedder(service).embed_batches(BATCHES)
+        next(batches)
+        batches.close()
+        assert embed_threads() == []
+        assert service.active == 0
+        assert len(service.sent) < len(BATCHES)
+
+
+class TestCachingEmbedderOverlap:
+    def cached(self, cache_dir, service):
+        return CachingEmbedder(capped_embedder(service), ResponseCache(cache_dir))
+
+    def test_entries_match_one_batch_at_a_time_and_a_warm_cache_sends_nothing(
+            self, tmp_path):
+        cold = self.cached(tmp_path / "a", FakeEmbeddingService())
+        got = list(cold.embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        sequential = self.cached(tmp_path / "b", FakeEmbeddingService())
+        for texts in BATCHES:
+            sequential.embed_batch(texts)
+
+        def entries(root):
+            return {p.relative_to(root): {**json.loads(p.read_bytes()),
+                                          "created_at": 0}
+                    for p in root.glob("*/*/*.json")}
+        assert entries(tmp_path / "a") == entries(tmp_path / "b")
+        assert len(entries(tmp_path / "a")) == len(BATCHES)
+
+        service = FakeEmbeddingService()
+        warm = self.cached(tmp_path / "a", service)
+        assert_same_bits(list(warm.embed_batches(BATCHES)), got)
+        assert service.sent == []
+        assert warm.counter.snapshot() == {"requests": 7, "hits": 7, "misses": 0}
+        assert embed_threads() == []
+
+    def test_a_half_warm_cache_sends_only_the_misses(self, tmp_path):
+        warmer = self.cached(tmp_path / "cache", FakeEmbeddingService())
+        for texts in BATCHES[::2]:
+            warmer.embed_batch(texts)
+        service = FakeEmbeddingService()
+        cached = self.cached(tmp_path / "cache", service)
+        got = list(cached.embed_batches(BATCHES))
+        assert_same_bits(got, one_at_a_time(BATCHES))
+        assert service.sent == [texts[0] for texts in BATCHES[1::2]]
+        assert cached.counter.snapshot() == {"requests": 7, "hits": 4, "misses": 3}
+
+    def test_a_repeated_batch_is_sent_once(self, tmp_path):
+        service = FakeEmbeddingService()
+        cached = self.cached(tmp_path / "cache", service)
+        batches = [BATCHES[0], BATCHES[1], BATCHES[0], BATCHES[2], BATCHES[1]]
+        got = list(cached.embed_batches(batches))
+        assert_same_bits(got, one_at_a_time(batches))
+        assert sorted(service.sent) == sorted(t[0] for t in BATCHES[:3])
+
+    def test_callers_in_different_orders_take_turns_without_deadlock(
+            self, tmp_path):
+        service = FakeEmbeddingService(delays=(0.002, 0.0, 0.001))
+        cached = self.cached(tmp_path / "cache", service)
+        orders = [BATCHES, BATCHES[::-1]]
+        orders += [random.Random(seed).sample(BATCHES, len(BATCHES))
+                   for seed in (1, 2)]
+        results, errors = {}, []
+
+        def caller(i, batches):
+            try:
+                results[i] = list(cached.embed_batches(batches))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(i, batches))
+                   for i, batches in enumerate(orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for i, batches in enumerate(orders):
+            assert_same_bits(results[i], one_at_a_time(batches))
+        # Each key was sent once: the other callers waited and hit.
+        assert sorted(service.sent) == sorted(t[0] for t in BATCHES)
+        assert cached.counter.snapshot()["misses"] == len(BATCHES)
+        assert cached._turns == {}
+        assert embed_threads() == []
+
+    def test_an_inner_embedder_without_overlap_goes_one_at_a_time(self, tmp_path):
+        cached = CachingEmbedder(Float32Embedder(), ResponseCache(tmp_path / "c"))
+        got = list(cached.embed_batches([["a"], ["b", "c"]]))
+        assert [v.shape for v in got] == [(1, 8), (2, 8)]
+        assert cached.inner.calls == 2
+
+
 class TestCachingEmbedder:
     def test_a_miss_returns_the_bits_a_hit_reads(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
@@ -718,6 +953,17 @@ class TestInFlightCap:
                               session=FakeSession([])).max_in_flight == 4
         cached = CachingRanker(ranker, ResponseCache(tmp_path / "cache"))
         assert cached.max_in_flight == 7
+
+    def test_http_embedder_exposes_its_limiter_cap(self, tmp_path):
+        embedder = HttpEmbedder("e", "http://x", session=FakeSession([]),
+                                limiter=RateLimiter(max_in_flight=7))
+        assert embedder.max_in_flight == 7
+        assert HttpEmbedder("e", "http://x",
+                            session=FakeSession([])).max_in_flight == 4
+        cached = CachingEmbedder(embedder, ResponseCache(tmp_path / "cache"))
+        assert cached.max_in_flight == 7
+        assert CachingEmbedder(HashEmbedder(8), ResponseCache(
+            tmp_path / "cache")).max_in_flight is None
 
     def test_in_process_rankers_have_no_cap(self, tmp_path):
         oracle = OracleRanker(OracleSpec(OracleKind.PERFECT))

@@ -47,12 +47,14 @@ def embedding_session(monkeypatch):
         def mount(self, prefix, adapter):
             pass
 
-        def post(self, url, json=None, headers=None, timeout=None):
+        def post(self, url, json=None, headers=None, timeout=None,
+                 stream=False):
             FakeSession.calls += 1
             return Reply(len(json["input"]))
 
     class Reply:
         status_code = 200
+        content = b"the body, as a streamed reply reads it"
 
         def __init__(self, n):
             self.n = n
@@ -315,6 +317,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert "goes in a --config file" in err
         assert not (tmp / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["predictions_out", "trace_out"])
+    def test_output_in_a_missing_directory_exits_2_before_the_run(
+            self, workspace, capsys, key):
+        tmp, taxonomy, dataset = workspace
+        outputs = {"predictions_out": tmp / "p.jsonl",
+                   "trace_out": tmp / "t.jsonl", key: tmp / "nodir" / "out.jsonl"}
+        flags = [a for k, v in outputs.items()
+                 for a in ("--" + k.replace("_", "-"), v)]
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect", "--index", tmp / "tags.idx",
+                       *flags) == 2
+        captured = capsys.readouterr()
+        assert str(tmp / "nodir" / "out.jsonl") in captured.err
+        assert "does not exist" in captured.err
+        assert captured.out == ""
+        # Nothing ran: the index was neither built nor saved.
+        assert not (tmp / "tags.idx").exists()
+        assert not (tmp / "nodir").exists()
 
     def test_prebuilt_index_is_used(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
@@ -686,6 +707,16 @@ class TestBackendSpecs:
 
 
 class TestCache:
+    @pytest.mark.parametrize("command", ["stats", "clear"])
+    def test_missing_cache_dir_exits_2_and_makes_nothing(self, tmp_path,
+                                                          capsys, command):
+        missing = tmp_path / "nocache"
+        assert run_cli("cache", command, "--cache-dir", missing) == 2
+        captured = capsys.readouterr()
+        assert f"cache directory does not exist: {missing}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_and_clear(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
         cache_dir = tmp / "cache"

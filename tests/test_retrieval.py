@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagrec.backends import HashEmbedder
+from tagrec.backends import CachingEmbedder, HashEmbedder, HttpEmbedder, \
+    RateLimiter, ResponseCache, RetryPolicy
 from tagrec.errors import BackendError
 from tagrec.retrieval import IndexScan, VectorIndex, _top_positions, \
     build_index, retrieve, top_k
 
-from conftest import make_records
+from conftest import FakeEmbeddingService, embed_threads, make_records
 
 
 def brute_force_top_k(query, index, k):
@@ -110,6 +113,106 @@ class TestIndex:
         path = tmp_path / "u.idx"
         index.save(path)
         assert VectorIndex.load(path).tag_ids == ("净利润", "收入")
+
+
+def http_embedder(service, cap=3):
+    return HttpEmbedder("e", "http://api.test/v1", session=service,
+                        limiter=RateLimiter(max_in_flight=cap),
+                        retry=RetryPolicy(max_attempts=3, base_delay=0.0,
+                                          max_delay=0.0))
+
+
+class OneAtATime:
+    """An embedder that offers ``embed_batch`` alone: the sequential build."""
+
+    def __init__(self, inner):
+        self.backend_id = inner.backend_id
+        self.embed_batch = inner.embed_batch
+
+
+def index_bytes(index, path) -> bytes:
+    index.save(path)
+    return path.read_bytes()
+
+
+class TestOverlappedBuild:
+    """Batches of 2 tags: five requests, at most three in flight."""
+
+    def test_index_is_bit_identical_to_a_sequential_build(self, tmp_path,
+                                                           ten_tag_corpus):
+        service = FakeEmbeddingService()
+        overlapped = build_index(ten_tag_corpus, http_embedder(service),
+                                 batch_size=2)
+        sequential = build_index(
+            ten_tag_corpus, OneAtATime(http_embedder(FakeEmbeddingService())),
+            batch_size=2)
+        assert index_bytes(overlapped, tmp_path / "a.idx") == \
+            index_bytes(sequential, tmp_path / "b.idx")
+        assert len(service.sent) == 5
+        assert service.peak == 3
+        assert service.active == 0
+        assert embed_threads() == []
+
+    def test_cached_build_is_bit_identical_and_a_warm_one_sends_nothing(
+            self, tmp_path, ten_tag_corpus):
+        sequential = build_index(ten_tag_corpus, HashEmbedder(dim=8),
+                                 batch_size=2)
+        for sent in (5, 0):
+            service = FakeEmbeddingService()
+            embedder = CachingEmbedder(http_embedder(service),
+                                       ResponseCache(tmp_path / "cache"))
+            index = build_index(ten_tag_corpus, embedder, batch_size=2)
+            assert index_bytes(index, tmp_path / "a.idx") == \
+                index_bytes(sequential, tmp_path / "b.idx")
+            assert len(service.sent) == sent
+        assert embed_threads() == []
+
+    def test_hash_embedder_starts_no_thread(self, ten_tag_corpus, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        build_index(ten_tag_corpus, HashEmbedder(dim=8), batch_size=2)
+        assert started == []
+
+    def test_a_failing_batch_names_its_first_tag(self, ten_tag_corpus):
+        texts = [doc.text for doc in ten_tag_corpus.docs]
+        service = FakeEmbeddingService(script={texts[6]: [503] * 3})
+        with pytest.raises(BackendError, match="embedding failed for batch "
+                           "starting at tag 'InventoryNet': .*giving up"):
+            build_index(ten_tag_corpus, http_embedder(service), batch_size=2)
+        assert embed_threads() == []
+        assert service.active == 0
+
+    def test_a_dimension_change_stops_the_build_and_its_threads(
+            self, ten_tag_corpus):
+        texts = [doc.text for doc in ten_tag_corpus.docs]
+        service = FakeEmbeddingService(script={texts[2]: ["wide"]})
+        with pytest.raises(BackendError, match="dimension changed across "
+                           "batches: 8 then 16 .*'OperatingExpenses'") as raised:
+            build_index(ten_tag_corpus, http_embedder(service), batch_size=2)
+        # Closed by build_index itself: its frame, alive in the traceback,
+        # would keep the embedder's generator and threads alive otherwise.
+        assert raised.tb is not None
+        assert embed_threads() == []
+        assert service.active == 0
+
+    def test_a_corrupt_cache_entry_names_its_own_batch(self, tmp_path,
+                                                       ten_tag_corpus):
+        cache = ResponseCache(tmp_path / "cache")
+        embedder = CachingEmbedder(http_embedder(FakeEmbeddingService()), cache)
+        texts = [doc.text for doc in ten_tag_corpus.docs]
+        key = embedder.inner.request_of(texts[8:10]).cache_key()
+        embedder.embed_batch(texts[8:10])
+        next((tmp_path / "cache").glob(f"*/*/{key}.json")).write_text("{")
+        with pytest.raises(BackendError, match="batch starting at tag "
+                                               "'InterestExpense'"):
+            build_index(ten_tag_corpus, embedder, batch_size=2)
+        assert embed_threads() == []
+        assert embedder._turns == {}
 
 
 def random_index(rng, n, dim):
