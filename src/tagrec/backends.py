@@ -37,7 +37,7 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -154,6 +154,10 @@ class ResponseCache:
             return None
         return CacheEntry(key=doc["key"], response=doc["response"],
                           created_at=doc["created_at"], backend_id=doc["backend_id"])
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` has an entry, told without reading it."""
+        return os.path.exists(f"{self._dir(key)}/{key}.json")
 
     def put(self, entry: CacheEntry) -> None:
         parent = self._dir(entry.key)
@@ -689,7 +693,9 @@ class _CachingBase:
     waits for that reply and reads it from the cache, so concurrent copies
     of one request make one backend call, as they would one after another,
     and a backend that answers differently each time raises no
-    :class:`CacheConflictError`.
+    :class:`CacheConflictError`.  A call with several keys takes their
+    turns in sorted key order (``_turns_of``), so callers that hold turns
+    never wait on each other in a cycle.
     """
 
     def __init__(self, inner, cache: ResponseCache):
@@ -705,12 +711,22 @@ class _CachingBase:
         """The wrapped backend's cap on calls in flight, if it has one."""
         return getattr(self.inner, "max_in_flight", None)
 
-    def _join(self, key: str) -> list:
-        """Queue for ``key``'s turn: its [lock, callers] pair (see ``_leave``)."""
-        with self._guard:
-            turn = self._turns.setdefault(key, [threading.Lock(), 0])
-            turn[1] += 1
-        return turn
+    @contextmanager
+    def _turns_of(self, keys: Iterable[str]) -> Iterator[ExitStack]:
+        """Hold the turn of each distinct key of ``keys`` while in the block.
+
+        The turns are taken one at a time, in sorted key order, and all are
+        given back when the block ends, however it ends.  The block gets the
+        stack that gives them back; what it pushes there is undone first.
+        """
+        with ExitStack() as stack:
+            for key in sorted(set(keys)):
+                with self._guard:
+                    turn = self._turns.setdefault(key, [threading.Lock(), 0])
+                    turn[1] += 1  # callers holding or waiting for it
+                stack.callback(self._leave, key, turn)
+                stack.enter_context(turn[0])
+            yield stack
 
     def _leave(self, key: str, turn: list) -> None:
         with self._guard:
@@ -720,21 +736,14 @@ class _CachingBase:
 
     def _cached_call(self, request: BackendRequest, call) -> str:
         key = request.cache_key()
-        turn = self._join(key)
-        try:
-            with turn[0]:
-                return self._get_or_call(key, call)
-        finally:
-            self._leave(key, turn)
-
-    def _get_or_call(self, key: str, call) -> str:
-        entry = self.cache.get(key)
-        if entry is not None:
-            self.counter.record(hit=True)
-            return entry.response
-        response = call()
-        self._store(key, response)
-        return response
+        with self._turns_of([key]):
+            entry = self.cache.get(key)
+            if entry is not None:
+                self.counter.record(hit=True)
+                return entry.response
+            response = call()
+            self._store(key, response)
+            return response
 
     def _store(self, key: str, response: str) -> None:
         self.cache.put(CacheEntry(key=key, response=response,
@@ -757,88 +766,49 @@ class CachingRanker(_CachingBase):
                                  lambda: self.inner.rank_listwise(request))
 
 
-def _vectors_json(vectors: np.ndarray) -> str:
-    """An embedding entry's response: floats round-trip through their repr."""
-    return json.dumps(vectors.tolist())
-
-
 class CachingEmbedder(_CachingBase):
     """Caches per-batch embedding responses (vectors stored as JSON)."""
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        fresh = []
-
-        def call() -> str:
-            vectors = np.asarray(self.inner.embed_batch(texts))
-            fresh.append(vectors)
-            return _vectors_json(vectors)
-
-        response = self._cached_call(self.inner.request_of(texts), call)
-        # A miss returns the vectors it stored without parsing them back:
-        # floats round-trip through their repr exactly, so the bits are the
-        # same as a hit's.
-        return np.asarray(fresh[0] if fresh else json.loads(response),
-                          dtype=np.float64)
+        [vectors] = self.embed_batches([texts])
+        return vectors
 
     def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
-        """Each batch's vectors, in batch order; runs of misses overlap.
+        """Each batch's vectors, in batch order; the misses overlap.
 
-        This thread takes each batch's turn, looks it up and stores each
-        reply, so a hit never reaches the network.  Runs of misses go to the
-        inner embedder's ``embed_batches``.  A hit, a key in another call's
-        turn or a failed lookup ends a run; that batch is served once the
-        run's replies are stored and their turns given back, so this thread
-        never waits for a turn while it holds one.  An inner embedder without
-        ``embed_batches`` gets the batches one at a time.
+        Every batch's turn is taken first (see ``_turns_of``) and held until
+        the generator ends.  Each distinct key without an entry is then sent
+        once, in batch order, to the inner embedder's ``embed_batches``, or
+        to its ``embed_batch`` for a single miss or an embedder without the
+        former, so a record's query starts no thread.  A miss's reply is
+        stored when its batch is reached, and a hit is read there.
         """
-        overlapped = getattr(self.inner, "embed_batches", None)
-        if overlapped is None:
-            yield from map(self.embed_batch, batches)
-            return
-        batches = iter(batches)
-        sent: deque = deque()  # (key, turn) of each miss sent, until stored
-        ended = []  # the batch that ended the last run, and its entry on a hit
-
-        def misses():
-            for texts in batches:
-                key = self.inner.request_of(texts).cache_key()
-                turn = self._join(key)
-                entry = None
-                if turn[0].acquire(blocking=False):
-                    try:
-                        entry = self.cache.get(key)
-                    except Exception:  # embed_batch raises it in batch order
-                        pass
-                    else:
-                        if entry is None:
-                            sent.append((key, turn))
-                            yield texts
-                            continue
-                    turn[0].release()
-                self._leave(key, turn)
-                ended.append((texts, entry))
-                return
-
-        try:
-            while True:
-                with closing(overlapped(misses())) as run:
-                    for vectors in run:
-                        key, turn = sent.popleft()
-                        try:
-                            self._store(key, _vectors_json(np.asarray(vectors)))
-                        finally:
-                            turn[0].release()
-                            self._leave(key, turn)
-                        yield np.asarray(vectors, dtype=np.float64)
-                if not ended:
-                    return
-                texts, entry = ended.pop()
-                if entry is None:
-                    yield self.embed_batch(texts)
+        batches = list(batches)
+        keys = [self.inner.request_of(texts).cache_key() for texts in batches]
+        with self._turns_of(keys) as stack:
+            # The distinct misses, in batch order.
+            misses = {key: texts for key, texts in zip(keys, batches)
+                      if key not in self.cache}
+            sends = list(misses.values())
+            overlapped = getattr(self.inner, "embed_batches", None)
+            if overlapped is not None and len(sends) > 1:
+                replies = stack.enter_context(closing(overlapped(sends)))
+            else:
+                replies = map(self.inner.embed_batch, sends)
+            for key, texts in zip(keys, batches):
+                if misses.pop(key, None) is not None:
+                    vectors = next(replies)
                 else:
-                    self.counter.record(hit=True)
-                    yield np.asarray(json.loads(entry.response), dtype=np.float64)
-        finally:
-            for key, turn in sent:
-                turn[0].release()
-                self._leave(key, turn)
+                    entry = self.cache.get(key)
+                    if entry is not None:
+                        self.counter.record(hit=True)
+                        yield np.asarray(json.loads(entry.response),
+                                         dtype=np.float64)
+                        continue
+                    # Cleared since the check (``tagrec cache clear``).
+                    vectors = self.inner.embed_batch(texts)
+                vectors = np.asarray(vectors)
+                self._store(key, json.dumps(vectors.tolist()))
+                # Not parsed back: floats round-trip through their repr, so
+                # these are the bits a hit reads.
+                yield np.asarray(vectors, dtype=np.float64)

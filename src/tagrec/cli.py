@@ -21,7 +21,7 @@ from .corpus import _iter_jsonl, _require_str, load_dataset, load_taxonomy
 from .errors import ConfigError, TagRecError
 from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
     evaluate_predictions, render_table
-from .pipeline import jsonl_line, run_records, run_sweep
+from .pipeline import apply_axis, jsonl_line, run_records, run_sweep
 from .prompting import default_instruction, default_rerank_template
 from .rerank import Ordering, RerankConfig, VoteMode
 from .retrieval import VectorIndex, build_index
@@ -452,6 +452,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     instruction = _instruction_text(settings)
     axis = SweepAxis(args.axis)
     values = _parse_axis_values(axis, args.values)
+    for value in values:  # checked as its flag would be, before any record runs
+        try:
+            apply_axis(template, axis, value)
+        except ValueError as exc:
+            raise ConfigError(f"--values {value}: {exc}") from None
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
         settings)
 

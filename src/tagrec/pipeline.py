@@ -119,7 +119,7 @@ def _process_record(
 def run_records(
     records: Sequence[NumeralRecord],
     corpus: TaxonomyCorpus,
-    index: VectorIndex,
+    index: VectorIndex | IndexScan,
     *,
     generator: GeneratorBackend,
     embedder: EmbedderBackend,
@@ -132,9 +132,10 @@ def run_records(
 
     ``concurrency`` is the number of records worked on at a time; ``None``
     takes the ranker's ``max_in_flight``, or 1 for a ranker without one.
-    The index is prepared for scanning (see :mod:`tagrec.retrieval`) and
-    the worker pool is made once per call; both are dropped before the call
-    returns.
+    A plain index is prepared for scanning (see :mod:`tagrec.retrieval`)
+    and the worker pool is made once per call; both are dropped before the
+    call returns.  Pass an :class:`IndexScan` in place of the index to
+    share one preparation across calls, as :func:`run_sweep` does.
     """
     if concurrency is None:
         concurrency = getattr(ranker, "max_in_flight", None) or 1
@@ -148,7 +149,7 @@ def run_records(
         raise ConfigError("concurrency must be >= 1")
 
     corpus_texts = corpus.texts()
-    scan = IndexScan(index)
+    scan = index if isinstance(index, IndexScan) else IndexScan(index)
 
     def work(record: NumeralRecord):
         try:
@@ -212,19 +213,20 @@ def run_sweep(
     values: Sequence[object],
     concurrency: int | None = None,
 ) -> SweepTable:
-    """One pipeline evaluation per axis value.
+    """One pipeline evaluation per axis value, all on one :class:`IndexScan`.
 
     A failed cell is marked and the sweep goes on; a :class:`ConfigError` is
     systemic, as in :func:`run_records`, and aborts it.
     """
     if not values:
         raise ValueError("values must be non-empty")
+    scan = IndexScan(index)
     cells: list[SweepCell] = []
     for value in values:
         try:
             config = apply_axis(template, axis, value)
             result = run_records(
-                records, corpus, index, generator=generator, embedder=embedder,
+                records, corpus, scan, generator=generator, embedder=embedder,
                 ranker=ranker, config=config, instruction=instruction,
                 concurrency=concurrency,
             )

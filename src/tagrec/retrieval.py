@@ -6,7 +6,8 @@ cosine similarities win.  Ties are broken by corpus order (earlier wins) so
 runs are reproducible.  No approximate-nearest-neighbor structure.
 
 The scan works on an :class:`IndexScan`: the index rows cast to float64 and
-their norms.  ``run_records`` builds one per call and drops it when the call
+their norms.  ``run_records`` builds one per call unless it is given one,
+and ``run_sweep`` one per sweep; each drops the scan it built when it
 returns, so the copy (twice the size of the float32 index) lives only while
 queries run.  It is not cached on :class:`VectorIndex`, where it would stay
 alive as long as the index does, across set-ups and idle time.  ``top_k``
@@ -189,8 +190,8 @@ class IndexScan:
     """A :class:`VectorIndex` prepared for repeated ``top_k`` queries.
 
     Holds the index rows as float64 and each row's norm, so a query costs
-    one mat-vec.  Build one per run (``run_records`` does) and let it go
-    with the run; see the module docstring.
+    one mat-vec.  Build one per run or sweep and let it go with it; see
+    the module docstring.
     """
 
     # Rows per block of the norm computation: each row's norm is the same

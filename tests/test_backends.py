@@ -827,6 +827,54 @@ class TestCachingEmbedderOverlap:
         assert [v.shape for v in got] == [(1, 8), (2, 8)]
         assert cached.inner.calls == 2
 
+    def test_a_one_text_miss_is_sent_by_embed_batch_and_starts_no_thread(
+            self, tmp_path, monkeypatch):
+        service = FakeEmbeddingService()
+        cached = self.cached(tmp_path / "cache", service)
+        sent_by = []
+        embed_batch = cached.inner.embed_batch
+        monkeypatch.setattr(cached.inner, "embed_batch",
+                            lambda texts: sent_by.append(texts) or embed_batch(texts))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        got = cached.embed_batch(["the query text"])
+        assert_same_bits([got], one_at_a_time([["the query text"]]))
+        assert sent_by == [["the query text"]]
+        assert service.sent == ["the query text"]
+        assert started == []
+
+    def test_a_warm_build_reads_each_entry_when_its_batch_is_reached(
+            self, tmp_path):
+        want = list(self.cached(tmp_path / "cache",
+                                FakeEmbeddingService()).embed_batches(BATCHES))
+        cached = self.cached(tmp_path / "cache", FakeEmbeddingService())
+        reads = []
+        get = cached.cache.get
+        cached.cache.get = lambda key: reads.append(key) or get(key)
+        batches = cached.embed_batches(BATCHES)
+        got = [next(batches)]
+        assert len(reads) == 1
+        got += batches
+        assert len(reads) == len(BATCHES)
+        assert_same_bits(got, want)
+
+    def test_an_entry_cleared_after_the_check_is_embedded_again(self, tmp_path):
+        want = list(self.cached(tmp_path / "cache",
+                                FakeEmbeddingService()).embed_batches(BATCHES))
+        service = FakeEmbeddingService()
+        cached = self.cached(tmp_path / "cache", service)
+        batches = cached.embed_batches(BATCHES)
+        got = [next(batches)]
+        cached.cache.clear()  # as ``tagrec cache clear`` from another process
+        got += batches
+        assert_same_bits(got, want)
+        assert service.sent == [texts[0] for texts in BATCHES[1:]]
+        assert cached.counter.snapshot() == {"requests": 7, "hits": 1, "misses": 6}
+        assert cached.cache.stats()["entries"] == len(BATCHES) - 1
+        assert cached._turns == {}
+
 
 class TestCachingEmbedder:
     def test_a_miss_returns_the_bits_a_hit_reads(self, tmp_path):
@@ -840,6 +888,20 @@ class TestCachingEmbedder:
         assert np.array_equal(missed.view(np.int64), hit.view(np.int64))
         want = Float32Embedder().embed_batch(texts).astype(np.float64)
         assert np.array_equal(missed.view(np.int64), want.view(np.int64))
+
+    def test_embed_batch_gives_its_turn_back_when_it_returns_or_raises(
+            self, tmp_path):
+        inner = Float32Embedder()
+        cached = CachingEmbedder(inner, ResponseCache(tmp_path / "cache"))
+        cached.embed_batch(["a"])
+        assert cached._turns == {}
+
+        def failing(texts):
+            raise BackendError("embedder: down")
+        inner.embed_batch = failing
+        with pytest.raises(BackendError, match="down"):
+            cached.embed_batch(["b"])
+        assert cached._turns == {}
 
     def test_the_entry_holds_the_vectors_json(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")

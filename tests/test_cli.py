@@ -9,6 +9,7 @@ import pytest
 
 from tagrec.cli import build_parser, main
 from tagrec.retrieval import VectorIndex
+from tagrec.sim import OracleRanker
 
 from conftest import TEN_TAGS, make_records, write_dataset, write_taxonomy
 
@@ -630,6 +631,29 @@ class TestSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "order-preserving" in out and "order-shuffled" in out
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("group-size", "0,5", "--values 0: group_size must be >= 1"),
+        ("group-size", "11,5", "--values 11: group_size must not exceed top_k"),
+        ("iterations", "0,2", "--values 0: iterations must be >= 1"),
+        ("ordering", "order-preserving,bogus", "--values bogus: "),
+    ])
+    def test_a_bad_value_exits_2_before_any_record_runs(
+            self, workspace, capsys, monkeypatch, axis, values, message):
+        tmp, taxonomy, dataset = workspace
+        calls = []
+        monkeypatch.setattr(OracleRanker, "rank_listwise",
+                            lambda self, request: calls.append(request))
+        out_path = tmp / "sweep.json"
+        code = run_cli(
+            "sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+            "--ranker", "perfect", "--embedder", "hash:32",
+            "--axis", axis, "--values", values, "--out", out_path,
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not out_path.exists()
 
 
 class TestSimulate:

@@ -292,6 +292,25 @@ class TestRunSweep:
         expected = evaluate_predictions(direct.prediction_set())
         assert table.cells[0].report == expected
 
+    def test_one_scan_serves_every_cell(self, parts, monkeypatch):
+        corpus, index, embedder = parts
+        built = []
+
+        class CountedScan(IndexScan):
+            def __init__(self, index):
+                built.append(1)
+                super().__init__(index)
+        monkeypatch.setattr(pipeline, "IndexScan", CountedScan)
+        table = run_sweep(
+            make_records(3), corpus, index,
+            generator=FileBackedGenerator(), embedder=embedder,
+            ranker=OracleRanker(OracleSpec(OracleKind.PERFECT)),
+            template=RerankConfig(seed=3), instruction="inst",
+            axis=SweepAxis.ITERATIONS, values=[1, 2, 4],
+        )
+        assert [c.failed for c in table.cells] == [False] * 3
+        assert len(built) == 1
+
 
 class TestJsonlLine:
     def test_sorted_keys_and_newline(self):
