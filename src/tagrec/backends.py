@@ -37,7 +37,7 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -324,59 +324,46 @@ class HashEmbedder:
     always cosine-1.0 with itself, and token-disjoint texts are orthogonal
     absent bucket collisions.
 
-    Each instance memoises the bucket of every token it has hashed in a
-    batch of several texts, for as long as the instance lives, so building
-    an index hashes each distinct token once however many batches hold it.
-    The memo holds at most ``MEMO_TOKENS`` tokens and is cleared when a
-    batch would take it past that; a batch with more distinct tokens than
-    that is hashed in full and not memoised.  A batch of one text, such as
-    a record's query in the pipeline, is hashed token by token and leaves
-    the memo alone: a memo would save a query little, and one that grew
-    with every record would hold memory that grows with the dataset.
-    Vectors do not depend on the memo's state.
+    A batch of several texts hashes each distinct token once, into a
+    token-to-bucket dict that :meth:`embed_batches` keeps for one call
+    only, so building an index hashes each distinct token once however
+    many batches hold it, and nothing outlives the build.  A batch of one
+    text, such as a record's query, is hashed token by token.  Vectors do
+    not depend on which path made them.
     """
-
-    # About 10 MB of dict entries and token strings at most.
-    MEMO_TOKENS = 1 << 16
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.backend_id = f"hash-embedder:dim={dim}"
-        self._memo: dict[str, int] = {}  # token -> bucket
-        self._memo_lock = threading.Lock()  # records embed on worker threads
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dim
 
-    def _buckets(self, tokens: set[str]) -> dict[str, int]:
-        """A dict that holds the bucket of each of ``tokens``."""
-        memo = self._memo
-        missing = tokens.difference(memo)
-        if len(memo) + len(missing) > self.MEMO_TOKENS:
-            memo.clear()
-            missing = tokens
-            if len(tokens) > self.MEMO_TOKENS:
-                memo = {}
-        memo.update(zip(missing, map(self._bucket, missing)))
-        return memo
-
     def embed_batch(self, texts: list[str]) -> np.ndarray:
+        return self._embed(texts, {})
+
+    def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
+        """Each batch's vectors in batch order, on the calling thread."""
+        buckets: dict[str, int] = {}  # token -> bucket, for this call only
+        for texts in batches:
+            yield self._embed(texts, buckets)
+
+    def _embed(self, texts: list[str], buckets: dict[str, int]) -> np.ndarray:
         token_lists = [text.lower().split() for text in texts]
         if not all(token_lists):
             raise BackendError("cannot embed a whitespace-only text")
         if len(texts) == 1:
-            # A query: its tokens rarely repeat, so it is hashed token by
-            # token, and the memo is left alone (see the class docstring).
+            # A query: its tokens rarely repeat, so a dict would save little.
             cells = list(map(self._bucket, token_lists[0]))
         else:
             tokens = list(chain.from_iterable(token_lists))
-            with self._memo_lock:
-                buckets = self._buckets(set(tokens))
-                cells = np.fromiter(map(buckets.__getitem__, tokens),
-                                    dtype=np.intp, count=len(tokens))
+            missing = set(tokens).difference(buckets)
+            buckets.update(zip(missing, map(self._bucket, missing)))
+            cells = np.fromiter(map(buckets.__getitem__, tokens),
+                                dtype=np.intp, count=len(tokens))
             lengths = np.fromiter(map(len, token_lists), dtype=np.intp,
                                   count=len(texts))
             cells += np.repeat(np.arange(0, len(texts) * self.dim, self.dim),
@@ -482,17 +469,20 @@ class _HttpClient:
                 last_error = exc
                 continue
             status = resp.status_code
-            if status in (401, 403):
-                raise BackendError(f"{self.role}: authentication failed ({status})")
-            if status in _TRANSIENT_STATUS:
-                last_error = BackendError(f"{self.role}: transient HTTP {status}")
+            if status == 200:
+                return resp, attempt
+            transient = status in _TRANSIENT_STATUS
+            if transient:
                 retry_after = _retry_after_seconds(resp)
-                if stream:  # give its connection back to the pool
-                    resp.close()
-                continue
-            if status != 200:
-                raise BackendError(f"{self.role}: HTTP {status}: {resp.text[:500]}")
-            return resp, attempt
+            last_error = BackendError(
+                f"{self.role}: authentication failed ({status})"
+                if status in (401, 403) else
+                f"{self.role}: transient HTTP {status}" if transient else
+                f"{self.role}: HTTP {status}: {resp.text[:500]}")
+            if stream:  # give its connection back to the pool
+                resp.close()
+            if not transient:
+                raise last_error
         raise BackendError(
             f"{self.role}: giving up after {self.retry.max_attempts} attempts: "
             f"{last_error}"
@@ -689,12 +679,13 @@ class _Counter:
 class _CachingBase:
     """Consult the cache first; on a miss call through and store the reply.
 
-    Calls with one key take turns: a call whose key is already in flight
-    waits for that reply and reads it from the cache, so concurrent copies
-    of one request make one backend call, as they would one after another,
-    and a backend that answers differently each time raises no
-    :class:`CacheConflictError`.  A call with several keys takes their
-    turns in sorted key order (``_turns_of``), so callers that hold turns
+    Calls take turns by key: a call whose key is already in flight waits
+    for that reply and reads it from the cache, so concurrent copies of one
+    request make one backend call, as they would one after another, and a
+    backend that answers differently each time raises no
+    :class:`CacheConflictError`.  A call with several keys waits until none
+    of them is in flight and then takes them all at once (``_turns_of``),
+    so no caller holds some turns while it waits for others, and callers
     never wait on each other in a cycle.
     """
 
@@ -703,8 +694,8 @@ class _CachingBase:
         self.cache = cache
         self.counter = _Counter()
         self.backend_id = f"cached({inner.backend_id})"
-        self._guard = threading.Lock()
-        self._turns: dict[str, list] = {}  # key -> [lock, callers holding it]
+        self._turn_ended = threading.Condition(threading.Lock())
+        self._in_flight: set[str] = set()  # keys whose turn is taken
 
     @property
     def max_in_flight(self) -> int | None:
@@ -712,27 +703,23 @@ class _CachingBase:
         return getattr(self.inner, "max_in_flight", None)
 
     @contextmanager
-    def _turns_of(self, keys: Iterable[str]) -> Iterator[ExitStack]:
-        """Hold the turn of each distinct key of ``keys`` while in the block.
+    def _turns_of(self, keys: Iterable[str]) -> Iterator[None]:
+        """Hold the turn of every key of ``keys`` while in the block.
 
-        The turns are taken one at a time, in sorted key order, and all are
-        given back when the block ends, however it ends.  The block gets the
-        stack that gives them back; what it pushes there is undone first.
+        The turns are taken together, once none of them is in flight, and
+        given back together when the block ends, however it ends.
         """
-        with ExitStack() as stack:
-            for key in sorted(set(keys)):
-                with self._guard:
-                    turn = self._turns.setdefault(key, [threading.Lock(), 0])
-                    turn[1] += 1  # callers holding or waiting for it
-                stack.callback(self._leave, key, turn)
-                stack.enter_context(turn[0])
-            yield stack
-
-    def _leave(self, key: str, turn: list) -> None:
-        with self._guard:
-            turn[1] -= 1
-            if not turn[1]:
-                del self._turns[key]
+        keys = set(keys)
+        with self._turn_ended:
+            while not self._in_flight.isdisjoint(keys):
+                self._turn_ended.wait()
+            self._in_flight |= keys
+        try:
+            yield
+        finally:
+            with self._turn_ended:
+                self._in_flight -= keys
+                self._turn_ended.notify_all()
 
     def _cached_call(self, request: BackendRequest, call) -> str:
         key = request.cache_key()
@@ -776,39 +763,41 @@ class CachingEmbedder(_CachingBase):
     def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
         """Each batch's vectors, in batch order; the misses overlap.
 
-        Every batch's turn is taken first (see ``_turns_of``) and held until
-        the generator ends.  Each distinct key without an entry is then sent
-        once, in batch order, to the inner embedder's ``embed_batches``, or
-        to its ``embed_batch`` for a single miss or an embedder without the
-        former, so a record's query starts no thread.  A miss's reply is
-        stored when its batch is reached, and a hit is read there.
+        Every batch's turn is taken first, all at once (see ``_turns_of``),
+        and held until the generator ends.  Each distinct key without an
+        entry is then sent once, in batch order, to the inner embedder's
+        ``embed_batches``, or to its ``embed_batch`` for a single miss or an
+        embedder without the former, so a record's query starts no thread.
+        A miss's reply is stored when its batch is reached, and a hit is
+        read there.
         """
         batches = list(batches)
         keys = [self.inner.request_of(texts).cache_key() for texts in batches]
-        with self._turns_of(keys) as stack:
+        with self._turns_of(keys):
             # The distinct misses, in batch order.
             misses = {key: texts for key, texts in zip(keys, batches)
                       if key not in self.cache}
             sends = list(misses.values())
             overlapped = getattr(self.inner, "embed_batches", None)
-            if overlapped is not None and len(sends) > 1:
-                replies = stack.enter_context(closing(overlapped(sends)))
+            if overlapped is None or len(sends) == 1:
+                replies = (self.inner.embed_batch(texts) for texts in sends)
             else:
-                replies = map(self.inner.embed_batch, sends)
-            for key, texts in zip(keys, batches):
-                if misses.pop(key, None) is not None:
-                    vectors = next(replies)
-                else:
-                    entry = self.cache.get(key)
-                    if entry is not None:
-                        self.counter.record(hit=True)
-                        yield np.asarray(json.loads(entry.response),
-                                         dtype=np.float64)
-                        continue
-                    # Cleared since the check (``tagrec cache clear``).
-                    vectors = self.inner.embed_batch(texts)
-                vectors = np.asarray(vectors)
-                self._store(key, json.dumps(vectors.tolist()))
-                # Not parsed back: floats round-trip through their repr, so
-                # these are the bits a hit reads.
-                yield np.asarray(vectors, dtype=np.float64)
+                replies = overlapped(sends)
+            with closing(replies):
+                for key, texts in zip(keys, batches):
+                    if misses.pop(key, None) is not None:
+                        vectors = next(replies)
+                    else:
+                        entry = self.cache.get(key)
+                        if entry is not None:
+                            self.counter.record(hit=True)
+                            yield np.asarray(json.loads(entry.response),
+                                             dtype=np.float64)
+                            continue
+                        # Cleared since the check (``tagrec cache clear``).
+                        vectors = self.inner.embed_batch(texts)
+                    vectors = np.asarray(vectors)
+                    self._store(key, json.dumps(vectors.tolist()))
+                    # Not parsed back: floats round-trip through their
+                    # repr, so these are the bits a hit reads.
+                    yield np.asarray(vectors, dtype=np.float64)

@@ -293,10 +293,12 @@ def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
     return index
 
 
-def _pipeline_inputs(settings: dict):
+def _pipeline_inputs(settings: dict, *, need_gold: bool = False):
     """Corpus, records, backends (cached if configured) and index of a run."""
     corpus = load_taxonomy(_require_path(settings, "taxonomy"))
     records = load_dataset(_require_path(settings, "dataset"), corpus)
+    if need_gold and all(record.gold_tag_id is None for record in records):
+        raise ConfigError("no gold-bearing records to evaluate")
     generator, embedder, ranker = _wrap_with_cache(
         settings, _backend(_build_generator, settings["generator"]),
         _backend(_build_embedder, settings["embedder"]),
@@ -458,7 +460,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--values {value}: {exc}") from None
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
-        settings)
+        settings, need_gold=True)
 
     table = run_sweep(
         records, corpus, index, generator=generator, embedder=embedder,
@@ -466,10 +468,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axis=axis, values=values, concurrency=settings["concurrency"],
     )
     print(table.render_text())
+    failed = [cell for cell in table.cells if cell.failed]
+    for cell in failed:
+        print(f"{axis.value}={cell.value}: {cell.error}", file=sys.stderr)
     if args.out:
         _write_json(args.out, table.to_dict())
         print(f"table -> {args.out}")
-    return 0 if all(not c.failed for c in table.cells) else 1
+    return 1 if failed else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -151,11 +151,11 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
     """Embed every tag document and assemble the index in corpus order.
 
     An embedder with an ``embed_batches`` method is handed every batch at
-    once, and may overlap their requests up to its own cap (see
-    :meth:`~tagrec.backends.HttpEmbedder.embed_batches`); any other gets one
-    ``embed_batch`` call per batch, one after another.  Rows land in batch
-    order either way, and the embedder's threads, if any, are joined before
-    this returns or raises.
+    once: an http embedder overlaps their requests up to its own cap, and
+    the hash embedder hashes each distinct token once per build.  Any other
+    embedder gets one ``embed_batch`` call per batch, one after another.
+    Rows land in batch order either way, and the embedder's threads, if
+    any, are joined before this returns or raises.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")

@@ -246,10 +246,6 @@ def counting_buckets(emb):
     return hashed
 
 
-class SmallMemoEmbedder(HashEmbedder):
-    MEMO_TOKENS = 4
-
-
 VOCABULARY = [f"tok{i}" for i in range(12)]
 
 
@@ -260,85 +256,32 @@ def random_batches(seed, n_batches, max_tokens=6):
             for _ in range(n_batches)]
 
 
-class TestHashEmbedderMemo:
-    def test_each_distinct_token_is_hashed_once_per_embedder(self):
+class TestHashEmbedderBatches:
+    def test_each_distinct_token_is_hashed_once_per_call(self):
         emb = HashEmbedder(dim=16)
         hashed = counting_buckets(emb)
-        emb.embed_batch(["a b a", "b A a"])
-        assert sorted(hashed) == ["a", "b"]
-        emb.embed_batch(["a c", "c b c"])
-        emb.embed_batch(["b", "a"])
+        batches = [["a b a", "b A a"], ["a c", "c b c"], ["b", "a"]]
+        list(emb.embed_batches(batches))
         assert sorted(hashed) == ["a", "b", "c"]
+        list(emb.embed_batches(batches))  # nothing is kept between calls
+        assert sorted(hashed) == ["a", "a", "b", "b", "c", "c"]
 
-        fresh = HashEmbedder(dim=16)
-        fresh_hashed = counting_buckets(fresh)
-        fresh.embed_batch(["b", "a"])
-        assert sorted(fresh_hashed) == ["a", "b"]  # a new embedder starts cold
-
-    def test_a_one_text_batch_leaves_the_memo_alone(self):
+    def test_a_one_text_batch_is_hashed_token_by_token(self):
         emb = HashEmbedder(dim=16)
         hashed = counting_buckets(emb)
-        emb.embed_batch(["a b", "c"])
-        memo = dict(emb._memo)
         got = emb.embed_batch(["a d d"])
-        assert emb._memo == memo
-        assert hashed[3:] == ["a", "d", "d"]  # hashed afresh, token by token
+        assert hashed == ["a", "d", "d"]
+        [_, in_a_build] = emb.embed_batches([["a b", "d"], ["a d d"]])
+        assert hashed[-3:] == ["a", "d", "d"]
         want = HashEmbedder(dim=16).embed_batch(["a d d", "x"])[:1]
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for vectors in (got, in_a_build):
+            assert np.array_equal(vectors.view(np.int64), want.view(np.int64))
 
-    def test_memo_stays_within_its_cap_and_vectors_across_a_clear(self):
-        emb = SmallMemoEmbedder(dim=8)
-        hashed = counting_buckets(emb)
-        for batch in random_batches(seed=5, n_batches=60):
-            got = emb.embed_batch(batch)
-            want = HashEmbedder(dim=8).embed_batch(batch)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
-        assert len(hashed) > len(set(hashed))  # the memo was cleared
-
-    def test_a_batch_larger_than_the_memo_is_hashed_in_full(self):
-        emb = SmallMemoEmbedder(dim=8)
-        emb.embed_batch(["tok1 tok2"])
-        batch = [" ".join(VOCABULARY[:7]), "tok1 tok9"]
-        got = emb.embed_batch(batch)
-        want = HashEmbedder(dim=8).embed_batch(batch)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
-
-    def test_threads_sharing_one_embedder_get_the_same_vectors(self):
-        import sys
-        import threading
-
-        emb = SmallMemoEmbedder(dim=8)
-        batches = random_batches(seed=9, n_batches=40)
-        want = [HashEmbedder(dim=8).embed_batch(b) for b in batches]
-        start = threading.Barrier(6, timeout=10)
-        errors = []
-
-        def worker(offset):
-            start.wait()
-            try:
-                for i in range(len(batches)):
-                    j = (i + offset) % len(batches)
-                    got = emb.embed_batch(batches[j])
-                    if not np.array_equal(got.view(np.int64), want[j].view(np.int64)):
-                        errors.append(f"batch {j} differs")
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(7 * i,)) for i in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(emb._memo) <= SmallMemoEmbedder.MEMO_TOKENS
+    def test_vectors_match_one_batch_at_a_time(self):
+        batches = random_batches(seed=5, n_batches=60)
+        got = list(HashEmbedder(dim=8).embed_batches(iter(batches)))
+        assert_same_bits(got, [HashEmbedder(dim=8).embed_batch(b)
+                               for b in batches])
 
 
 def _record(gen_doc):
@@ -729,6 +672,17 @@ class TestOverlappedBatches:
         assert embed_threads() == []
         assert service.active == 0
 
+    @pytest.mark.parametrize("status, message", [
+        (401, "authentication failed"), (403, "authentication failed"),
+        (400, "HTTP 400: scripted failure")])
+    def test_a_refused_batch_raises_and_closes_its_reply(self, status, message):
+        service = FakeEmbeddingService(script={BATCHES[2][0]: [status]})
+        with pytest.raises(BackendError, match=message):
+            list(capped_embedder(service).embed_batches(BATCHES))
+        assert service.sent.count(BATCHES[2][0]) == 1  # not retried
+        assert service.active == 0
+        assert embed_threads() == []
+
     def test_closing_early_joins_the_threads_and_closes_unread_replies(self):
         service = FakeEmbeddingService()
         batches = capped_embedder(service).embed_batches(BATCHES)
@@ -818,7 +772,7 @@ class TestCachingEmbedderOverlap:
         # Each key was sent once: the other callers waited and hit.
         assert sorted(service.sent) == sorted(t[0] for t in BATCHES)
         assert cached.counter.snapshot()["misses"] == len(BATCHES)
-        assert cached._turns == {}
+        assert cached._in_flight == set()
         assert embed_threads() == []
 
     def test_an_inner_embedder_without_overlap_goes_one_at_a_time(self, tmp_path):
@@ -873,7 +827,59 @@ class TestCachingEmbedderOverlap:
         assert service.sent == [texts[0] for texts in BATCHES[1:]]
         assert cached.counter.snapshot() == {"requests": 7, "hits": 1, "misses": 6}
         assert cached.cache.stats()["entries"] == len(BATCHES) - 1
-        assert cached._turns == {}
+        assert cached._in_flight == set()
+
+
+class TestTurns:
+    def test_one_and_many_key_callers_under_contention(self, tmp_path):
+        class ChangingRanker(CountingRanker):
+            """Answers each call differently, so a repeat would conflict."""
+
+            def __init__(self):
+                self.prompts = []  # one per call
+
+            def rank_listwise(self, request):
+                self.prompts.append(request.prompt)
+                return f"[1] > [2] ({len(self.prompts)})"
+
+        prompts = [f"rank group {i}" for i in range(6)]
+        ranker = CachingRanker(ChangingRanker(), ResponseCache(tmp_path / "r"))
+        service = FakeEmbeddingService(delays=(0.0,))
+        embedder = CachingEmbedder(capped_embedder(service),
+                                   ResponseCache(tmp_path / "e"))
+        start = threading.Barrier(8, timeout=10)
+        errors = []
+
+        def caller(seed):
+            rng = random.Random(seed)
+            start.wait()
+            try:
+                for _ in range(3):
+                    for prompt in rng.sample(prompts, 3):
+                        ranker.rank_listwise(RankRequest(prompt=prompt))
+                    list(embedder.embed_batches(rng.sample(BATCHES, 4)))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        # Daemons: a deadlock fails this test and does not hang the suite.
+        threads = [threading.Thread(target=caller, args=(seed,), daemon=True)
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # One inner call per distinct key, and every key was called.
+        assert sorted(ranker.inner.prompts) == prompts
+        assert sorted(service.sent) == sorted(texts[0] for texts in BATCHES)
+        assert ranker._in_flight == embedder._in_flight == set()
+        assert embed_threads() == []
 
 
 class TestCachingEmbedder:
@@ -894,14 +900,14 @@ class TestCachingEmbedder:
         inner = Float32Embedder()
         cached = CachingEmbedder(inner, ResponseCache(tmp_path / "cache"))
         cached.embed_batch(["a"])
-        assert cached._turns == {}
+        assert cached._in_flight == set()
 
         def failing(texts):
             raise BackendError("embedder: down")
         inner.embed_batch = failing
         with pytest.raises(BackendError, match="down"):
             cached.embed_batch(["b"])
-        assert cached._turns == {}
+        assert cached._in_flight == set()
 
     def test_the_entry_holds_the_vectors_json(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import threading
 import time
 
 import pytest
 
+from tagrec.backends import HashEmbedder
 from tagrec.cli import build_parser, main
+from tagrec.errors import BackendError
 from tagrec.retrieval import VectorIndex
 from tagrec.sim import OracleRanker
 
@@ -654,6 +657,49 @@ class TestSweep:
         assert f"error: {message}" in capsys.readouterr().err
         assert calls == []
         assert not out_path.exists()
+
+    def test_a_dataset_without_gold_exits_2_before_any_record_runs(
+            self, tmp_path, capsys, monkeypatch):
+        taxonomy = write_taxonomy(tmp_path / "taxonomy.jsonl")
+        dataset = write_dataset(tmp_path / "dataset.jsonl", [
+            dataclasses.replace(r, gold_tag_id=None) for r in make_records(3)])
+        calls = []
+        monkeypatch.setattr(OracleRanker, "rank_listwise",
+                            lambda self, request: calls.append(request))
+        monkeypatch.setattr(HashEmbedder, "embed_batches",
+                            lambda self, batches: calls.append(batches))
+        out_path = tmp_path / "sweep.json"
+        code = run_cli(
+            "sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+            "--ranker", "perfect", "--embedder", "hash:32",
+            "--axis", "iterations", "--values", "1,2", "--out", out_path,
+        )
+        assert code == 2
+        assert "error: no gold-bearing records to evaluate" in \
+            capsys.readouterr().err
+        assert calls == []  # not even the index was built
+        assert not out_path.exists()
+
+    def test_a_failed_cell_names_its_reason_under_the_table(
+            self, workspace, capsys, monkeypatch):
+        tmp, taxonomy, dataset = workspace
+        rank = OracleRanker.rank_listwise
+
+        def refusing_wide_groups(self, request):
+            if len(request.items) > 2:
+                raise BackendError("ranker: groups of at most 2")
+            return rank(self, request)
+        monkeypatch.setattr(OracleRanker, "rank_listwise", refusing_wide_groups)
+        code = run_cli(
+            "sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+            "--ranker", "perfect", "--embedder", "hash:32",
+            "--axis", "group-size", "--values", "2,5",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert [line.split()[:2] for line in captured.out.splitlines()[2:]] \
+            == [["2", "1.0000"], ["5", "failed"]]
+        assert captured.err == "group-size=5: prediction set is empty\n"
 
 
 class TestSimulate:

@@ -233,7 +233,7 @@ class TestRepeatsBehindACache:
         for t in threads:
             t.join()
         assert cached.inner.calls == 1
-        assert cached._turns == {}
+        assert cached._in_flight == set()
 
 
 class TestFailures:

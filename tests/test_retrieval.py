@@ -178,6 +178,24 @@ class TestOverlappedBuild:
         build_index(ten_tag_corpus, HashEmbedder(dim=8), batch_size=2)
         assert started == []
 
+    def test_a_hash_build_matches_one_made_batch_by_batch(
+            self, tmp_path, ten_tag_corpus, monkeypatch):
+        class BatchByBatch:  # no embed_batches, so one embed_batch per batch
+            def __init__(self, inner):
+                self.embed_batch = inner.embed_batch
+
+        embedder = HashEmbedder(dim=8)
+        calls = []
+        embed_batches = embedder.embed_batches
+        monkeypatch.setattr(embedder, "embed_batches",
+                            lambda batches: calls.append(1) or embed_batches(batches))
+        index = build_index(ten_tag_corpus, embedder, batch_size=3)
+        want = build_index(ten_tag_corpus, BatchByBatch(HashEmbedder(dim=8)),
+                           batch_size=3)
+        assert calls == [1]
+        assert index_bytes(index, tmp_path / "a.idx") == \
+            index_bytes(want, tmp_path / "b.idx")
+
     def test_a_failing_batch_names_its_first_tag(self, ten_tag_corpus):
         texts = [doc.text for doc in ten_tag_corpus.docs]
         service = FakeEmbeddingService(script={texts[6]: [503] * 3})
@@ -212,7 +230,7 @@ class TestOverlappedBuild:
                                                "'InterestExpense'"):
             build_index(ten_tag_corpus, embedder, batch_size=2)
         assert embed_threads() == []
-        assert embedder._turns == {}
+        assert embedder._in_flight == set()
 
 
 def random_index(rng, n, dim):
