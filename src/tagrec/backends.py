@@ -437,40 +437,36 @@ class _HttpClient:
         self._sleep = sleep
 
     def post_json(self, path: str, body: dict) -> dict:
-        return self._json(self.post(path, body)[0])
+        return self._json(self.post(path, body))
 
-    def post(self, path: str, body: dict, *, stream: bool = False,
-             attempt: int = 0, last_error: Exception | None = None):
-        """The first 200 reply to POSTing ``body``, and the attempt that got it.
+    def post(self, path: str, body: dict):
+        """The first 200 reply to POSTing ``body``, its body read.
 
-        Transport errors and transient statuses are retried, from attempt
-        number ``attempt`` on; ``last_error`` is the failure that ended the
-        attempt before it, if any.  With ``stream`` the reply's body is left
-        unread for :meth:`read_json`.
+        Transport errors, also while the body is read, and transient
+        statuses are retried; any other status raises at once.
         """
         url = f"{self.base_url}{path}"
         headers = {"Content-Type": "application/json"}
         key = _api_key(self.role)
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        options = {"json": body, "headers": headers, "timeout": self.timeout}
-        if stream:
-            options["stream"] = True
+        last_error: Exception | None = None
         retry_after = 0.0
-        for attempt in range(attempt, self.retry.max_attempts):
+        for attempt in range(self.retry.max_attempts):
             if attempt > 0:
                 self._sleep(min(max(self.retry.delay(attempt - 1), retry_after),
                                 self.retry.max_delay))
             retry_after = 0.0
             try:
                 with self.limiter:
-                    resp = self.session.post(url, **options)
+                    resp = self.session.post(url, json=body, headers=headers,
+                                             timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
             status = resp.status_code
             if status == 200:
-                return resp, attempt
+                return resp
             transient = status in _TRANSIENT_STATUS
             if transient:
                 retry_after = _retry_after_seconds(resp)
@@ -479,31 +475,12 @@ class _HttpClient:
                 if status in (401, 403) else
                 f"{self.role}: transient HTTP {status}" if transient else
                 f"{self.role}: HTTP {status}: {resp.text[:500]}")
-            if stream:  # give its connection back to the pool
-                resp.close()
             if not transient:
                 raise last_error
         raise BackendError(
             f"{self.role}: giving up after {self.retry.max_attempts} attempts: "
             f"{last_error}"
         )
-
-    def read_json(self, path: str, body: dict, resp, attempt: int) -> dict:
-        """The decoded body of a streamed reply that :meth:`post` returned.
-
-        A transport error while reading the body sends the request again
-        from this thread, within the same attempts.
-        """
-        while True:
-            try:
-                # Only reading counts: requests' JSON errors are
-                # RequestExceptions too, and must not be retried.
-                resp.content
-                break
-            except requests.RequestException as exc:
-                resp, attempt = self.post(path, body, stream=True,
-                                          attempt=attempt + 1, last_error=exc)
-        return self._json(resp)
 
     def _json(self, resp) -> dict:
         try:
@@ -609,34 +586,27 @@ class HttpEmbedder(_HttpBackend):
     def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
         """Each batch's vectors in batch order, ``max_in_flight`` sent at once.
 
-        Worker threads only send a request and wait for its 200 reply,
-        retrying as :meth:`embed_batch` does.  This thread reads, decodes and
-        checks each reply's body, so no worker holds a batch's decoded data.
-        A batch is sent only while fewer than ``max_in_flight`` replies are
-        unread.  Closing the generator cancels the batches not yet sent and
-        waits for those in flight, so no thread outlives it.
+        Worker threads send each request and read its whole reply, retrying
+        as :meth:`embed_batch` does; this thread decodes and checks each
+        reply, so no worker holds a batch's decoded data.  A batch is sent
+        only while fewer than ``max_in_flight`` replies wait to be decoded.
+        Closing the generator, or a failure, waits for the requests in
+        flight, so no thread outlives it.
         """
-        pending: deque = deque()  # (texts, body, future of post)
-        pool = ThreadPoolExecutor(self.max_in_flight,
-                                  thread_name_prefix="tagrec-embed")
-        try:
+        pending: deque = deque()  # (texts, future of the reply)
+        with ThreadPoolExecutor(self.max_in_flight,
+                                thread_name_prefix="tagrec-embed") as pool:
             for texts in batches:
-                body = self._body(texts)
-                pending.append((texts, body, pool.submit(
-                    self._client.post, "/embeddings", body, stream=True)))
+                pending.append((texts, pool.submit(self._client.post,
+                                                   "/embeddings",
+                                                   self._body(texts))))
                 if len(pending) == self.max_in_flight:
-                    yield self._read(*pending.popleft())
+                    yield self._decode(*pending.popleft())
             while pending:
-                yield self._read(*pending.popleft())
-        finally:
-            pool.shutdown(cancel_futures=True)
-            for _, _, future in pending:  # replies never read
-                if not future.cancelled() and future.exception() is None:
-                    future.result()[0].close()
+                yield self._decode(*pending.popleft())
 
-    def _read(self, texts: list[str], body: dict, future) -> np.ndarray:
-        return self._vectors(texts, self._client.read_json("/embeddings", body,
-                                                           *future.result()))
+    def _decode(self, texts: list[str], future) -> np.ndarray:
+        return self._vectors(texts, self._client._json(future.result()))
 
     @staticmethod
     def _vectors(texts: list[str], doc: dict) -> np.ndarray:
@@ -648,7 +618,11 @@ class HttpEmbedder(_HttpBackend):
             raise BackendError(
                 f"embedder: got {len(vectors)} vectors for {len(texts)} inputs"
             )
-        return np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        # JSON decoders accept NaN and Infinity; no index or cache may.
+        if not np.isfinite(vectors).all():
+            raise BackendError("embedder: reply holds a non-finite value")
+        return vectors
 
 
 # --------------------------------------------------------------------------

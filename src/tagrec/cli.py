@@ -49,12 +49,13 @@ SETTINGS = {
     "concurrency": (None, int, "records worked on at a time (default: the "
                     "ranker's rate_limit.max_in_flight, or 1 for an "
                     "in-process ranker)"),
-    "top_k": (10, int, "retrieval depth"),
-    "group_size": (5, int, "re-ranking group size"),
-    "iterations": (8, int, "re-ranking rounds"),
-    "ordering": ("order-preserving", Ordering, "intra-group presentation order"),
-    "vote_mode": ("per-group", VoteMode, "vote counting semantics"),
-    "seed": (0, int, "base random seed"),
+    # The re-rank settings default to RerankConfig's own defaults.
+    "top_k": (RerankConfig.top_k, int, "retrieval depth"),
+    "group_size": (RerankConfig.group_size, int, "re-ranking group size"),
+    "iterations": (RerankConfig.iterations, int, "re-ranking rounds"),
+    "ordering": (RerankConfig.ordering, Ordering, "intra-group presentation order"),
+    "vote_mode": (RerankConfig.vote_mode, VoteMode, "vote counting semantics"),
+    "seed": (RerankConfig.seed, int, "base random seed"),
     "trace_out": (None, str, "write per-record re-ranking traces (JSONL)"),
     "predictions_out": ("predictions.jsonl", str, "predictions output path (JSONL)"),
 }

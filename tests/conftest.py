@@ -98,26 +98,36 @@ class FakeEmbeddingService:
     Each text embeds to its 8-dimensional hash-bag vector, so a batch's
     vectors do not depend on the order requests are served in.  Request
     number ``i`` waits ``delays[i % len(delays)]`` seconds for its status,
-    so replies complete out of order.  A request is in flight from ``post``
-    until its body is read or its reply closed; ``peak`` is the most in
-    flight at once.  ``script`` maps a batch's first text to what its first
-    attempts get instead of a good reply: an HTTP status (with
-    ``Retry-After: 1``), ``"read-error"``, a transport error while the
-    body is read, or ``"wide"``, vectors of twice the width.
+    so replies complete out of order.  A request is in flight until
+    ``post`` has read its body, as requests does before it returns;
+    ``peak`` is the most in flight at once.  ``script`` maps
+    a batch's first text to what its first attempts get instead of a good
+    reply: an HTTP status (with ``Retry-After: 1``), ``"read-error"``, a
+    transport error while the body is read, ``"wide"``, vectors of twice
+    the width, or ``"nan"``, a NaN in the first vector.
+
+    With ``gate=(cap, batches)`` each request is held, for at most
+    ``GATE_TIMEOUT`` seconds, until ``min(cap, batches not yet answered)``
+    requests are in flight, so a client that keeps ``cap`` in flight
+    reaches that peak whatever the timing.
     """
 
-    def __init__(self, delays=(0.03, 0.0, 0.015), script=None):
+    GATE_TIMEOUT = 10.0
+
+    def __init__(self, delays=(0.03, 0.0, 0.015), script=None, gate=None):
         self.delays = delays
         self.script = {text: list(plan) for text, plan in (script or {}).items()}
-        self.lock = threading.Lock()
+        self.gate = gate
+        self.lock = threading.Condition(threading.Lock())
         self.sent: list[str] = []  # each request's first text, in send order
-        self.active = self.peak = 0
+        self.active = self.peak = self.answered = 0
+        self._opened = 0  # how often the gate let every held request go
         self._embedder = HashEmbedder(dim=8)
 
     def mount(self, prefix, adapter):
         pass
 
-    def post(self, url, json=None, headers=None, timeout=None, stream=False):
+    def post(self, url, json=None, headers=None, timeout=None):
         texts = json["input"]
         with self.lock:
             delay = self.delays[len(self.sent) % len(self.delays)]
@@ -126,49 +136,51 @@ class FakeEmbeddingService:
             outcome = plan.pop(0) if plan else None
             self.active += 1
             self.peak = max(self.peak, self.active)
+            if self.gate and not self._open_gate_if_full():
+                opened = self._opened
+                self.lock.wait_for(lambda: self._opened > opened,
+                                   timeout=self.GATE_TIMEOUT)
         time.sleep(delay)
+        self._answered()  # requests reads the body before it returns
+        if outcome == "read-error":
+            raise requests.ConnectionError("connection reset while reading")
         if isinstance(outcome, int):
-            reply = FakeEmbeddingReply(self, outcome, None)
-        else:
-            vectors = self._embedder.embed_batch(texts)
-            if outcome == "wide":
-                vectors = np.hstack([vectors, vectors])
-            doc = {"data": [{"embedding": v} for v in vectors.tolist()]}
-            reply = FakeEmbeddingReply(self, 200, doc, outcome == "read-error")
-        if not stream:  # requests reads the body before it returns
-            reply.content
-        return reply
+            return FakeEmbeddingReply(outcome, None)
+        vectors = self._embedder.embed_batch(texts)
+        if outcome == "wide":
+            vectors = np.hstack([vectors, vectors])
+        doc = {"data": [{"embedding": v} for v in vectors.tolist()]}
+        if outcome == "nan":
+            doc["data"][0]["embedding"][0] = float("nan")
+        return FakeEmbeddingReply(200, doc)
 
-    def vectors(self, texts) -> np.ndarray:
-        return self._embedder.embed_batch(list(texts))
+    def _open_gate_if_full(self) -> bool:
+        """Let every held request go if enough are in flight; lock held."""
+        cap, batches = self.gate
+        if self.active < min(cap, batches - self.answered):
+            return False
+        self._opened += 1
+        self.lock.notify_all()
+        return True
+
+    def _answered(self) -> None:
+        with self.lock:
+            self.active -= 1
+            self.answered += 1
+            if self.gate:
+                self._open_gate_if_full()
 
 
 class FakeEmbeddingReply:
     text = "scripted failure"
     headers = {"Retry-After": "1"}
 
-    def __init__(self, service, status_code, doc, read_error=False):
+    def __init__(self, status_code, doc):
         self.status_code = status_code
-        self._service = service
         self._doc = doc
-        self._read_error = read_error
-        self._open = True
-
-    @property
-    def content(self) -> bytes:
-        self.close()
-        if self._read_error:
-            raise requests.ConnectionError("connection reset while reading")
-        return b"the body"
 
     def json(self):
         return self._doc
-
-    def close(self) -> None:
-        with self._service.lock:
-            if self._open:
-                self._open = False
-                self._service.active -= 1
 
 
 def embed_threads() -> list[threading.Thread]:

@@ -103,11 +103,13 @@ class TestResponseCache:
             except Exception as exc:
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer) for _ in range(8)]
+        threads = [threading.Thread(target=writer, daemon=True)
+                   for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert cache.get(key).response == "same bytes"
         assert cache.stats()["entries"] == 1
@@ -129,7 +131,8 @@ class TestResponseCache:
             except CacheConflictError as exc:
                 conflicts.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=writer, args=(i,), daemon=True)
+                   for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -159,7 +162,8 @@ class TestResponseCache:
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer, args=(k,)) for k in keys]
+        threads = [threading.Thread(target=writer, args=(k,), daemon=True)
+                   for k in keys]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -558,6 +562,17 @@ class TestHttpEmbedder:
         with pytest.raises(BackendError, match="vectors"):
             emb.embed_batch(["a", "b"])
 
+    @pytest.mark.parametrize("body", ['[NaN, 0.0]', '[Infinity, 0.0]',
+                                      '[0.0, -Infinity]'])
+    def test_a_non_finite_value_is_rejected(self, body):
+        # Python's JSON decoder reads these words as floats.
+        payload = json.loads('{"data": [{"embedding": [1.0, 0.0]}, '
+                             f'{{"embedding": {body}}}]}}')
+        emb = HttpEmbedder("e1", "http://api.test/v1", retry=FAST_RETRY,
+                           session=FakeSession([FakeResponse(200, payload)]))
+        with pytest.raises(BackendError, match="non-finite"):
+            emb.embed_batch(["a", "b"])
+
     def test_cached_batch_is_stored_under_the_embedder_key(self, tmp_path):
         payload = {"data": [{"embedding": [1.0, 0.0]},
                             {"embedding": [0.0, 1.0]}]}
@@ -616,7 +631,7 @@ class TestOverlappedBatches:
     """``HttpEmbedder.embed_batches`` against replies that complete out of order."""
 
     def test_batches_come_back_in_order_with_the_cap_in_flight(self):
-        service = FakeEmbeddingService()
+        service = FakeEmbeddingService(gate=(3, len(BATCHES)))
         got = list(capped_embedder(service).embed_batches(BATCHES))
         assert_same_bits(got, one_at_a_time(BATCHES))
         assert service.sent == [texts[0] for texts in BATCHES]
@@ -626,7 +641,7 @@ class TestOverlappedBatches:
 
     @pytest.mark.parametrize("cap", [1, 2, 8])
     def test_never_more_than_the_cap_in_flight(self, cap):
-        service = FakeEmbeddingService()
+        service = FakeEmbeddingService(gate=(cap, len(BATCHES)))
         got = list(capped_embedder(service, cap=cap).embed_batches(BATCHES))
         assert_same_bits(got, one_at_a_time(BATCHES))
         assert service.peak == min(cap, len(BATCHES))
@@ -683,7 +698,7 @@ class TestOverlappedBatches:
         assert service.active == 0
         assert embed_threads() == []
 
-    def test_closing_early_joins_the_threads_and_closes_unread_replies(self):
+    def test_closing_after_the_first_batch_leaves_no_request_or_thread(self):
         service = FakeEmbeddingService()
         batches = capped_embedder(service).embed_batches(BATCHES)
         next(batches)
@@ -691,6 +706,17 @@ class TestOverlappedBatches:
         assert embed_threads() == []
         assert service.active == 0
         assert len(service.sent) < len(BATCHES)
+
+    def test_a_non_finite_value_raises_in_its_batch_place(self):
+        service = FakeEmbeddingService(script={BATCHES[2][0]: ["nan"]})
+        batches = capped_embedder(service).embed_batches(BATCHES)
+        assert_same_bits([next(batches) for _ in range(2)],
+                         one_at_a_time(BATCHES[:2]))
+        with pytest.raises(BackendError, match="non-finite"):
+            next(batches)
+        assert service.sent.count(BATCHES[2][0]) == 1  # not retried
+        assert service.active == 0
+        assert embed_threads() == []
 
 
 class TestCachingEmbedderOverlap:
@@ -739,6 +765,20 @@ class TestCachingEmbedderOverlap:
         assert_same_bits(got, one_at_a_time(batches))
         assert sorted(service.sent) == sorted(t[0] for t in BATCHES[:3])
 
+    @pytest.mark.parametrize("call", [
+        lambda cached: cached.embed_batch(BATCHES[0]),
+        lambda cached: list(cached.embed_batches(BATCHES))],
+        ids=["embed_batch", "embed_batches"])
+    def test_a_non_finite_reply_raises_and_stores_nothing(self, tmp_path, call):
+        service = FakeEmbeddingService(script={BATCHES[0][0]: ["nan"]})
+        cached = self.cached(tmp_path / "cache", service)
+        with pytest.raises(BackendError, match="non-finite"):
+            call(cached)
+        assert cached.cache.stats()["entries"] == 0
+        assert cached._in_flight == set()
+        assert service.active == 0
+        assert embed_threads() == []
+
     def test_callers_in_different_orders_take_turns_without_deadlock(
             self, tmp_path):
         service = FakeEmbeddingService(delays=(0.002, 0.0, 0.001))
@@ -754,7 +794,8 @@ class TestCachingEmbedderOverlap:
             except Exception as exc:  # reported by the assertions below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=caller, args=(i, batches))
+        threads = [threading.Thread(target=caller, args=(i, batches),
+                                    daemon=True)
                    for i, batches in enumerate(orders)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1000,11 +1041,13 @@ class TestRateLimiter:
                 with lock:
                     active.pop()
 
-        threads = [threading.Thread(target=work) for _ in range(6)]
+        threads = [threading.Thread(target=work, daemon=True)
+                   for _ in range(6)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert max(peak) <= 2
 
 

@@ -14,7 +14,8 @@ from tagrec.errors import BackendError
 from tagrec.retrieval import VectorIndex
 from tagrec.sim import OracleRanker
 
-from conftest import TEN_TAGS, make_records, write_dataset, write_taxonomy
+from conftest import TEN_TAGS, FakeEmbeddingService, make_records, \
+    write_dataset, write_taxonomy
 
 HTTP_EMBEDDER = {"kind": "http", "model": "e",
                  "base_url": "http://embedder.invalid/v1"}
@@ -51,14 +52,12 @@ def embedding_session(monkeypatch):
         def mount(self, prefix, adapter):
             pass
 
-        def post(self, url, json=None, headers=None, timeout=None,
-                 stream=False):
+        def post(self, url, json=None, headers=None, timeout=None):
             FakeSession.calls += 1
             return Reply(len(json["input"]))
 
     class Reply:
         status_code = 200
-        content = b"the body, as a streamed reply reads it"
 
         def __init__(self, n):
             self.n = n
@@ -149,6 +148,21 @@ class TestEmbedIndex:
         assert run_cli(*argv) == 0
         assert embedding_session.calls == 1
         assert (tmp / "tags.idx").read_bytes() == first
+
+    def test_a_non_finite_embedding_exits_2_and_caches_nothing(
+            self, workspace, capsys, monkeypatch):
+        tmp, taxonomy, _ = workspace
+        service = FakeEmbeddingService(script={TEN_TAGS[0][1]: ["nan"]})
+        monkeypatch.setattr("requests.Session", lambda: service)
+        config = tmp / "embed.json"
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        assert run_cli("embed-index", "--config", config, "--taxonomy",
+                       taxonomy, "--index", tmp / "tags.idx", "--cache-dir",
+                       tmp / "cache") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding failed") and "non-finite" in err
+        assert list((tmp / "cache").rglob("*.json")) == []
+        assert not (tmp / "tags.idx").exists()
 
 
 class TestRun:

@@ -227,11 +227,13 @@ class TestRepeatsBehindACache:
                                ResponseCache(tmp_path / "cache"))
         request = RankRequest(prompt="rank these", items=(("a", "x"), ("b", "y")))
         threads = [threading.Thread(target=cached.rank_listwise,
-                                    args=(request,)) for _ in range(8)]
+                                    args=(request,), daemon=True)
+                   for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert cached.inner.calls == 1
         assert cached._in_flight == set()
 
@@ -271,7 +273,7 @@ class TestFailures:
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(target=lambda: results.append(
-                _run(parts, ranker, records=records)))
+                _run(parts, ranker, records=records)), daemon=True)
             worker.start()
             worker.join(timeout=60)
         finally:

@@ -140,7 +140,7 @@ class TestOverlappedBuild:
 
     def test_index_is_bit_identical_to_a_sequential_build(self, tmp_path,
                                                            ten_tag_corpus):
-        service = FakeEmbeddingService()
+        service = FakeEmbeddingService(gate=(3, 5))
         overlapped = build_index(ten_tag_corpus, http_embedder(service),
                                  batch_size=2)
         sequential = build_index(
