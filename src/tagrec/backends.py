@@ -618,11 +618,15 @@ class HttpEmbedder(_HttpBackend):
             raise BackendError(
                 f"embedder: got {len(vectors)} vectors for {len(texts)} inputs"
             )
-        vectors = np.asarray(vectors, dtype=np.float64)
-        # JSON decoders accept NaN and Infinity; no index or cache may.
-        if not np.isfinite(vectors).all():
-            raise BackendError("embedder: reply holds a non-finite value")
-        return vectors
+        return _finite(np.asarray(vectors, dtype=np.float64), "reply")
+
+
+def _finite(vectors: np.ndarray, what: str) -> np.ndarray:
+    """``vectors``, or a BackendError: JSON decoders accept NaN and
+    Infinity, and no index or cache may hold them."""
+    if not np.isfinite(vectors).all():
+        raise BackendError(f"embedder: {what} holds a non-finite value")
+    return vectors
 
 
 # --------------------------------------------------------------------------
@@ -765,8 +769,9 @@ class CachingEmbedder(_CachingBase):
                         entry = self.cache.get(key)
                         if entry is not None:
                             self.counter.record(hit=True)
-                            yield np.asarray(json.loads(entry.response),
-                                             dtype=np.float64)
+                            yield _finite(np.asarray(
+                                json.loads(entry.response), dtype=np.float64),
+                                f"cache entry {key}")
                             continue
                         # Cleared since the check (``tagrec cache clear``).
                         vectors = self.inner.embed_batch(texts)

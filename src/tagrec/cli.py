@@ -71,11 +71,21 @@ PIPELINE_SETTINGS = ("taxonomy", "dataset", "index", "cache_dir", "generator",
 # Settings assembly
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of file ``path``, or a ConfigError naming ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} {path} is not UTF-8 text") from None
+
+
 def _load_config_file(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        doc = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -129,8 +139,8 @@ def _rerank_config(settings: dict) -> RerankConfig:
 
 def _instruction_text(settings: dict) -> str:
     if settings["instruction_path"]:
-        path = _require_path(settings, "instruction_path")
-        return path.read_text(encoding="utf-8").rstrip("\n")
+        return _read_text(_require_path(settings, "instruction_path"),
+                          "instruction_path").rstrip("\n")
     return default_instruction()
 
 
@@ -141,7 +151,24 @@ def _require_path(settings: dict, key: str) -> Path:
     path = Path(value)
     if not path.exists():
         raise ConfigError(f"{key} path does not exist: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{key} path is not a file: {path}")
     return path
+
+
+def _check_outputs(**paths) -> None:
+    """A ConfigError naming the first of ``paths`` that cannot be written.
+
+    Outputs are written after the work, so each is checked before it: its
+    directory must exist, and it must not be a directory itself.  A
+    prebuilt index file passes both checks, so a run's ``index`` is
+    checked whenever it is given.
+    """
+    for key, path in paths.items():
+        if path and Path(path).is_dir():
+            raise ConfigError(f"{key} {path} is a directory")
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"{key} {path}: its directory does not exist")
 
 
 def _write_json(path, doc) -> None:
@@ -151,29 +178,6 @@ def _write_json(path, doc) -> None:
 
 # --------------------------------------------------------------------------
 # Backend construction
-
-
-def _spec_dict(spec, arg_key: str = "arg") -> dict:
-    """A spec object, or a ``kind[:arg]`` string with ``arg`` as ``arg_key``."""
-    if isinstance(spec, dict):
-        return dict(spec)
-    if spec.startswith("{"):
-        raise ConfigError(f"backend spec {spec!r}: a backend object goes in a "
-                          "--config file, as a JSON object")
-    kind, colon, arg = spec.partition(":")
-    return {"kind": kind, arg_key: arg} if colon else {"kind": kind}
-
-
-def _backend(build, spec, *args):
-    """``build(spec, *args)``, with a bad value in the spec as a ConfigError.
-
-    Every command builds its backends here, so a malformed or out-of-range
-    spec value exits 2 with a message instead of a traceback.
-    """
-    try:
-        return build(spec, *args)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"backend spec {spec!r}: {exc}") from None
 
 
 def _options(doc, types: dict, what: str) -> dict:
@@ -208,69 +212,83 @@ _HTTP_KEYS = {
 _HTTP_CHAT_KEYS = {**_HTTP_KEYS, "temperature": float, "system": _as_given}
 
 
-def _http(cls, role: str, doc: dict, keys: dict):
-    """An http backend built from the keys its spec gives."""
-    kwargs = _options(doc, keys, f"http {role}")
-    if "model" not in kwargs or "base_url" not in kwargs:
-        raise ConfigError(f"http {role} needs 'model' and 'base_url'")
-    if "rate_limit" in kwargs:
-        kwargs["limiter"] = kwargs.pop("rate_limit")
-    return cls(kwargs.pop("model"), kwargs.pop("base_url"), **kwargs)
+def _http(cls, types: dict):
+    """An http kind: ``cls`` of the keys ``types`` converts, two required."""
+    def build(doc, seed, what):
+        kwargs = _options(doc, types, what)
+        if "model" not in kwargs or "base_url" not in kwargs:
+            raise ConfigError(f"{what} needs 'model' and 'base_url'")
+        kwargs["limiter"] = kwargs.pop("rate_limit", None)
+        return cls(kwargs.pop("model"), kwargs.pop("base_url"), **kwargs)
+    return build
 
 
-def _build_embedder(spec):
-    doc = _spec_dict(spec, "dim")
-    kind = doc.pop("kind", "hash")
-    if kind == "hash":
-        return be.HashEmbedder(**_options(doc, {"dim": int}, "hash embedder"))
-    if kind == "http":
-        return _http(be.HttpEmbedder, "embedder", doc, _HTTP_KEYS)
-    raise ConfigError(f"unknown embedder kind {kind!r}")
+def _oracle(kind: OracleKind, backend=lambda spec: spec):
+    """An oracle kind seeded from the run: its spec, or ``backend`` of it."""
+    return lambda doc, seed, what: backend(OracleSpec(
+        kind, seed=seed, **_options(doc, {"error_rate": float}, what)))
 
 
-def _build_generator(spec):
-    doc = _spec_dict(spec)
-    kind = doc.pop("kind", "file")
-    if kind == "file":
-        return be.FileBackedGenerator(**_options(doc, {}, "file generator"))
-    if kind == "http":
-        return _http(be.HttpChatGenerator, "generator", doc, _HTTP_CHAT_KEYS)
-    raise ConfigError(f"unknown generator kind {kind!r}")
+# Per role: the kind of a spec object that names none, the key that the arg
+# of a ``kind:arg`` string fills, the caching class of a backend that builds
+# cache keys, and each kind's build(its keys, seed, "<kind> <role>").
+ROLES = {
+    "generator": ("file", "arg", be.CachingGenerator, {
+        "file": lambda doc, seed, what: be.FileBackedGenerator(
+            **_options(doc, {}, what)),
+        "http": _http(be.HttpChatGenerator, _HTTP_CHAT_KEYS)}),
+    "embedder": ("hash", "dim", be.CachingEmbedder, {
+        "hash": lambda doc, seed, what: be.HashEmbedder(
+            **_options(doc, {"dim": int}, what)),
+        "http": _http(be.HttpEmbedder, _HTTP_KEYS)}),
+    "ranker": (None, "error_rate", be.CachingRanker, {
+        "http": _http(be.HttpChatRanker, _HTTP_CHAT_KEYS),
+        **{k.value: _oracle(k, OracleRanker) for k in OracleKind}}),
+    "oracle": (None, "error_rate", None,
+               {k.value: _oracle(k) for k in OracleKind}),
+}
 
 
-def _oracle_spec(spec, seed: int) -> OracleSpec:
-    doc = _spec_dict(spec, "error_rate")
-    kind = OracleKind(doc.pop("kind", None))
-    return OracleSpec(kind, seed=seed, **_options(
-        doc, {"error_rate": float}, f"{kind.value} ranker"))
+def _build(role: str, spec, seed: int = 0):
+    """``role``'s backend of ``spec``: a JSON object or a ``kind[:arg]`` string.
 
-
-def _build_ranker(spec, seed: int):
+    Every command builds its backends here, so a malformed or out-of-range
+    spec value exits 2 with a message instead of a traceback.
+    """
     if spec is None:
-        raise ConfigError("ranker is required (flag --ranker)")
-    doc = _spec_dict(spec, "error_rate")
-    oracle_kinds = {k.value for k in OracleKind}
-    if doc.get("kind") in oracle_kinds:
-        return OracleRanker(_oracle_spec(doc, seed))
-    kind = doc.pop("kind", None)
-    if kind == "http":
-        return _http(be.HttpChatRanker, "ranker", doc, _HTTP_CHAT_KEYS)
-    raise ConfigError(
-        f"unknown ranker kind {kind!r}; expected http or one of "
-        f"{sorted(oracle_kinds)}"
-    )
+        raise ConfigError(f"{role} is required (flag --{role})")
+    default, arg_key, _, kinds = ROLES[role]
+    try:
+        if isinstance(spec, dict):
+            doc = dict(spec)
+        elif spec.startswith("{"):
+            raise ConfigError(f"backend spec {spec!r}: a backend object goes "
+                              "in a --config file, as a JSON object")
+        else:
+            kind, colon, arg = spec.partition(":")
+            doc = {"kind": kind, arg_key: arg} if colon else {"kind": kind}
+        kind = doc.pop("kind", default)
+        if kind not in kinds:
+            raise ConfigError(f"unknown {role} kind {kind!r}; expected one "
+                              f"of {sorted(kinds)}")
+        return kinds[kind](doc, seed, f"{kind} {role}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"backend spec {spec!r}: {exc}") from None
 
 
-def _wrap_with_cache(settings: dict, generator, embedder, ranker):
-    """Attach the response cache to every backend that builds cache keys."""
-    if not settings.get("cache_dir"):
-        return generator, embedder, ranker
-    cache = be.ResponseCache(settings["cache_dir"])
-
-    def wrap(backend, caching):
-        return caching(backend, cache) if hasattr(backend, "request_of") else backend
-    return (wrap(generator, be.CachingGenerator),
-            wrap(embedder, be.CachingEmbedder), wrap(ranker, be.CachingRanker))
+def _backends(settings: dict, *roles) -> list:
+    """Each role's backend of its setting; with a ``cache_dir``, one that
+    builds cache keys in its role's caching class.  The cache is made after
+    every backend is built, so a bad spec leaves no cache directory."""
+    built = [_build(role, settings[role], settings["seed"]) for role in roles]
+    try:
+        cache = settings["cache_dir"] and be.ResponseCache(settings["cache_dir"])
+    except OSError as exc:  # a file in its place, or no permission
+        raise ConfigError(f"cache_dir {settings['cache_dir']}: "
+                          f"{exc.strerror}") from None
+    return [ROLES[role][2](backend, cache)
+            if cache and hasattr(backend, "request_of") else backend
+            for role, backend in zip(roles, built)]
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +298,11 @@ def _wrap_with_cache(settings: dict, generator, embedder, ranker):
 def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
     index_path = settings.get("index")
     if index_path and Path(index_path).exists():
-        index = VectorIndex.load(index_path)
+        try:
+            index = VectorIndex.load(index_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"index {index_path} cannot be loaded: "
+                              f"{exc}") from None
         if tuple(index.tag_ids) != tuple(d.tag_id for d in corpus.docs):
             raise ConfigError(
                 f"index {index_path} does not match the taxonomy "
@@ -300,10 +322,8 @@ def _pipeline_inputs(settings: dict, *, need_gold: bool = False):
     records = load_dataset(_require_path(settings, "dataset"), corpus)
     if need_gold and all(record.gold_tag_id is None for record in records):
         raise ConfigError("no gold-bearing records to evaluate")
-    generator, embedder, ranker = _wrap_with_cache(
-        settings, _backend(_build_generator, settings["generator"]),
-        _backend(_build_embedder, settings["embedder"]),
-        _backend(_build_ranker, settings["ranker"], settings["seed"]))
+    generator, embedder, ranker = _backends(settings, "generator",
+                                            "embedder", "ranker")
     index = _load_or_build_index(settings, corpus, embedder)
     return corpus, records, generator, embedder, ranker, index
 
@@ -318,13 +338,13 @@ def cmd_embed_index(args: argparse.Namespace) -> int:
     index_path = settings["index"]
     if not index_path:
         raise ConfigError("index output path is required (flag --index)")
+    _check_outputs(index=index_path)
     if Path(index_path).exists() and not args.force:
         raise ConfigError(
             f"index file exists: {index_path} (pass --force to overwrite)"
         )
     corpus = load_taxonomy(taxonomy_path)
-    _, embedder, _ = _wrap_with_cache(
-        settings, None, _backend(_build_embedder, settings["embedder"]), None)
+    [embedder] = _backends(settings, "embedder")
     index = build_index(corpus, embedder)
     index.save(index_path)
     print(f"indexed {len(index)} tag documents (dim {index.dim}) -> {index_path}")
@@ -356,12 +376,11 @@ def _manifest(settings: dict, instruction: str, backends: dict,
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    # The outputs are written after every record has run: a missing
-    # directory is reported before that work, not after it.
-    for key in ("predictions_out", "trace_out"):
-        if settings[key] and not Path(settings[key]).parent.is_dir():
-            raise ConfigError(f"{key} {settings[key]}: its directory "
-                              "does not exist")
+    predictions_path = Path(settings["predictions_out"])
+    manifest_path = Path(f"{predictions_path}.manifest.json")
+    _check_outputs(predictions_out=predictions_path, manifest=manifest_path,
+                   trace_out=settings["trace_out"],
+                   index=settings["index"])
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
@@ -373,7 +392,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         concurrency=settings["concurrency"],
     )
 
-    predictions_path = Path(settings["predictions_out"])
     with predictions_path.open("w", encoding="utf-8") as fh:
         for line in result.predictions:
             fh.write(jsonl_line(line))
@@ -383,8 +401,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 fh.write(jsonl_line(trace))
 
     backends = {"generator": generator, "embedder": embedder, "ranker": ranker}
-    _write_json(predictions_path.with_name(predictions_path.name
-                                           + ".manifest.json"),
+    _write_json(manifest_path,
                 _manifest(settings, instruction, backends, result.counts))
 
     rate = result.gold_in_top_k_rate()
@@ -401,6 +418,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_outputs(out=args.out)
     predictions_path = _require_path(vars(args), "predictions")
     dataset_path = _require_path(vars(args), "dataset")
     lines = [(_require_str(doc, "record_id", predictions_path, lineno),
@@ -451,6 +469,7 @@ def _parse_axis_values(axis: SweepAxis, raw: str) -> list:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
+    _check_outputs(out=args.out, index=settings["index"])
     template = _rerank_config(settings)
     instruction = _instruction_text(settings)
     axis = SweepAxis(args.axis)
@@ -480,8 +499,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
+    _check_outputs(out=args.out)
     config = _rerank_config(settings)
-    spec = _backend(_oracle_spec, args.oracle, config.seed)
+    spec = _build("oracle", args.oracle, config.seed)
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     weights = None

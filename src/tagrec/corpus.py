@@ -100,8 +100,12 @@ class NumeralRecord:
 
 def _iter_jsonl(path: Path):
     """Yield (line_number, parsed object) for each non-blank line."""
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line.strip():
                 continue
             try:

@@ -26,6 +26,7 @@ read-only and safe for concurrent callers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,6 +118,10 @@ class VectorIndex:
             if len(header) < 8:
                 raise ValueError(f"{path}: truncated index file")
             dim, count = struct.unpack("<II", header)
+            # Each entry takes at least 4 + 4 * dim bytes: a header that
+            # claims more than the file holds allocates nothing.
+            if count * (4 + 4 * dim) > os.fstat(fh.fileno()).st_size - 8:
+                raise ValueError(f"{path}: truncated index file")
             ids: list[str] = []
             vecs = np.empty((count, dim), dtype="<f4")
             for i in range(count):

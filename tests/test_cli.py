@@ -9,13 +9,13 @@ import time
 import pytest
 
 from tagrec.backends import HashEmbedder
-from tagrec.cli import build_parser, main
+from tagrec.cli import _backends, _build, build_parser, main
 from tagrec.errors import BackendError
 from tagrec.retrieval import VectorIndex
 from tagrec.sim import OracleRanker
 
-from conftest import TEN_TAGS, FakeEmbeddingService, make_records, \
-    write_dataset, write_taxonomy
+from conftest import TEN_TAGS, FakeEmbeddingReply, FakeEmbeddingService, \
+    make_records, write_dataset, write_taxonomy
 
 HTTP_EMBEDDER = {"kind": "http", "model": "e",
                  "base_url": "http://embedder.invalid/v1"}
@@ -67,6 +67,21 @@ def embedding_session(monkeypatch):
 
     monkeypatch.setattr("requests.Session", FakeSession)
     return FakeSession
+
+
+@pytest.fixture
+def no_backend_calls(monkeypatch):
+    """Every embedding and oracle ranker call made, each failing the run."""
+    calls = []
+
+    def record(self, arg):
+        calls.append(arg)
+        raise AssertionError("unexpected backend call")
+    for cls, method in ((HashEmbedder, "embed_batch"),
+                        (HashEmbedder, "embed_batches"),
+                        (OracleRanker, "rank_listwise")):
+        monkeypatch.setattr(cls, method, record)
+    return calls
 
 
 def run_cli(*argv):
@@ -162,6 +177,32 @@ class TestEmbedIndex:
         err = capsys.readouterr().err
         assert err.startswith("error: embedding failed") and "non-finite" in err
         assert list((tmp / "cache").rglob("*.json")) == []
+        assert not (tmp / "tags.idx").exists()
+
+    def test_a_non_finite_cached_embedding_exits_2(self, workspace, capsys,
+                                                   embedding_session):
+        """A cache entry is checked as a fresh reply is: older caches may
+        hold NaN, which the reply check once let through."""
+        from tagrec.backends import CacheEntry, HttpEmbedder, ResponseCache
+        tmp, taxonomy, _ = workspace
+        texts = [text for _, text in TEN_TAGS]
+        key = HttpEmbedder("e", HTTP_EMBEDDER["base_url"]) \
+            .request_of(texts).cache_key()
+        vectors = [[0.5] * 32 for _ in texts]
+        vectors[3][7] = float("nan")
+        ResponseCache(tmp / "cache").put(CacheEntry(
+            key=key, response=json.dumps(vectors), created_at=0.0,
+            backend_id="http-embedder:e"))
+        config = tmp / "embed.json"
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        assert run_cli("embed-index", "--config", config, "--taxonomy",
+                       taxonomy, "--index", tmp / "tags.idx", "--cache-dir",
+                       tmp / "cache") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding failed for batch starting "
+                              "at tag 'Revenues'")
+        assert f"cache entry {key} holds a non-finite value" in err
+        assert embedding_session.calls == 0
         assert not (tmp / "tags.idx").exists()
 
 
@@ -336,24 +377,97 @@ class TestRun:
         assert "goes in a --config file" in err
         assert not (tmp / "p.jsonl").exists()
 
-    @pytest.mark.parametrize("key", ["predictions_out", "trace_out"])
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--predictions-out"), ("run", "--trace-out"),
+        ("run", "--index"), ("sweep", "--index"), ("sweep", "--out"),
+        ("embed-index", "--index"), ("evaluate", "--out"),
+        ("simulate", "--out"),
+    ])
+    @pytest.mark.parametrize("bad, message", [
+        ("nodir/out.jsonl", ": its directory does not exist"),
+        ("adir", " is a directory"),
+    ], ids=["missing-directory", "a-directory"])
     def test_output_in_a_missing_directory_exits_2_before_the_run(
-            self, workspace, capsys, key):
+            self, workspace, capsys, no_backend_calls, command, flag, bad,
+            message):
+        """Also an output path that is a directory: either way nothing ran."""
         tmp, taxonomy, dataset = workspace
-        outputs = {"predictions_out": tmp / "p.jsonl",
-                   "trace_out": tmp / "t.jsonl", key: tmp / "nodir" / "out.jsonl"}
-        flags = [a for k, v in outputs.items()
-                 for a in ("--" + k.replace("_", "-"), v)]
-        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
-                       "--ranker", "perfect", "--index", tmp / "tags.idx",
-                       *flags) == 2
+        (tmp / "adir").mkdir()
+        predictions = tmp / "preds.jsonl"
+        predictions.write_text(json.dumps({"record_id": "r000",
+                                           "predicted_tag_id": "Revenues"}))
+        inputs = ["--taxonomy", taxonomy, "--dataset", dataset,
+                  "--ranker", "perfect", "--index", tmp / "tags.idx"]
+        argv = {
+            "run": ["run", *inputs, "--predictions-out", tmp / "p.jsonl",
+                    "--trace-out", tmp / "t.jsonl"],
+            "sweep": ["sweep", *inputs, "--axis", "iterations",
+                      "--values", "1", "--out", tmp / "s.json"],
+            "embed-index": ["embed-index", "--taxonomy", taxonomy],
+            "evaluate": ["evaluate", "--predictions", predictions,
+                         "--dataset", dataset],
+            "simulate": ["simulate", "--oracle", "perfect", "--trials", 5],
+        }[command]
+        assert run_cli(*argv, flag, tmp / bad) == 2
         captured = capsys.readouterr()
-        assert str(tmp / "nodir" / "out.jsonl") in captured.err
-        assert "does not exist" in captured.err
+        assert f"error: {flag[2:].replace('-', '_')} {tmp / bad}{message}" \
+            in captured.err
         assert captured.out == ""
-        # Nothing ran: the index was neither built nor saved.
+        assert no_backend_calls == []
+        # Nothing ran: no index was built or saved, and no output written.
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "adir", "dataset.jsonl", "preds.jsonl", "taxonomy.jsonl"]
+        assert list((tmp / "adir").iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, content", [
+        ("run", "--taxonomy", None),
+        ("embed-index", "--taxonomy", None),
+        ("run", "--dataset", None),
+        ("run", "--config", None),
+        ("run", "--instruction-path", None),
+        ("evaluate", "--predictions", None),
+        ("run", "--taxonomy", b'{"tag_id": "Revenues", "text": "\xff"}\n'),
+        ("embed-index", "--taxonomy", b"\xfe\xff\n"),
+        ("run", "--dataset", b'{"record_id": "\xe9"}\n'),
+        ("evaluate", "--predictions", b"\xff\n"),
+        ("run", "--config", b'{"seed": "\xff"}'),
+        ("run", "--instruction-path", b"Tag \xff"),
+        ("run", "--index", b"\x08\x00\x00"),  # truncated header
+        ("run", "--index", b"\x08\x00\x00\x00\xff\xff\xff\x7f"),  # count
+        ("sweep", "--index", b"\x01\x00\x00\x00\x01\x00\x00\x00"
+                             b"\x01\x00\x00\x00\xff\x00\x00\x80\x3f"),
+    ], ids=lambda value: value.strip("-") if isinstance(value, str) else
+        "directory" if value is None else "bytes")
+    def test_an_unreadable_input_exits_2_naming_it(
+            self, workspace, capsys, no_backend_calls, command, flag,
+            content):
+        """A directory, bytes that are not UTF-8, or a broken index file."""
+        tmp, taxonomy, dataset = workspace
+        bad = tmp / "bad"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        predictions = tmp / "preds.jsonl"
+        predictions.write_text(json.dumps({"record_id": "r000",
+                                           "predicted_tag_id": "Revenues"}))
+        inputs = ["--taxonomy", taxonomy, "--dataset", dataset,
+                  "--ranker", "perfect"]
+        argv = {
+            "run": ["run", *inputs, "--predictions-out", tmp / "p.jsonl"],
+            "sweep": ["sweep", *inputs, "--axis", "iterations",
+                      "--values", "1"],
+            "embed-index": ["embed-index", "--index", tmp / "tags.idx"],
+            "evaluate": ["evaluate", "--predictions", predictions,
+                         "--dataset", dataset],
+        }[command]
+        assert run_cli(*argv, flag, bad) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
+        assert captured.out == ""
+        assert no_backend_calls == []
+        assert not (tmp / "p.jsonl").exists()
         assert not (tmp / "tags.idx").exists()
-        assert not (tmp / "nodir").exists()
 
     def test_prebuilt_index_is_used(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
@@ -466,6 +580,77 @@ class TestRun:
         assert FakeSession.peak == 2
         preds = [json.loads(x) for x in (tmp / "p.jsonl").read_text().splitlines()]
         assert len(preds) == 5
+
+    def test_manifests_of_a_cached_http_run_and_an_uncached_oracle_run(
+            self, workspace, monkeypatch):
+        """Which backend each role runs, cached or not, as the manifest says."""
+        embeddings = FakeEmbeddingService(delays=(0.0,))
+
+        class FakeSession:
+            def mount(self, prefix, adapter):
+                pass
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                if url.endswith("/embeddings"):
+                    return embeddings.post(url, json=json)
+                content = "[2] > [1] > [3] > [4] > [5]"
+                return FakeEmbeddingReply(
+                    200, {"choices": [{"message": {"content": content}}]})
+
+        monkeypatch.setattr("requests.Session", FakeSession)
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps({
+            "embedder": HTTP_EMBEDDER,
+            "ranker": {**HTTP_RANKER, "rate_limit": {"max_in_flight": 2}},
+        }))
+        assert run_cli("run", "--config", config, "--taxonomy", taxonomy,
+                       "--dataset", dataset, "--cache-dir", tmp / "cache",
+                       "--predictions-out", tmp / "http.jsonl") == 0
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "noisy:0.25", "--embedder", "hash:64",
+                       "--predictions-out", tmp / "oracle.jsonl") == 0
+
+        def manifest(name):
+            text = (tmp / f"{name}.jsonl.manifest.json").read_text()
+            return json.loads(text.replace(str(tmp), "<tmp>"))
+
+        def settings(**changed):
+            return {"cache_dir": None, "concurrency": None, "generator": "file",
+                    "group_size": 5, "index": None, "instruction_path": None,
+                    "iterations": 8, "ordering": "order-preserving",
+                    "seed": 0, "taxonomy": "<tmp>/taxonomy.jsonl",
+                    "dataset": "<tmp>/dataset.jsonl", "top_k": 10,
+                    "trace_out": None, "vote_mode": "per-group", **changed}
+
+        counts = {"failed": 0, "fallbacks": 0, "predicted": 5, "skipped": 0}
+        shas = {"instruction_sha256": "a5fb452ee01b14c8223830fd429bb7c5"
+                                      "47af15202fb435eae58210fe2e5333ca",
+                "rerank_template_sha256": "91e35dafaadfaf00373d2640cc3f2ec8"
+                                          "89f5dbb7d4933cf640e0b7b9a87ad57f"}
+        assert manifest("http") == {
+            "settings": settings(
+                cache_dir="<tmp>/cache", embedder=HTTP_EMBEDDER,
+                ranker={**HTTP_RANKER, "rate_limit": {"max_in_flight": 2}},
+                predictions_out="<tmp>/http.jsonl"),
+            "seed": 0, **shas,
+            "backend_ids": {"generator": "file-generator",
+                            "embedder": "cached(http-embedder:e)",
+                            "ranker": "cached(http-ranker:m)"},
+            "cache": {"embedder": {"requests": 6, "hits": 0, "misses": 6},
+                      "ranker": {"requests": 80, "hits": 0, "misses": 80}},
+            "counts": counts,
+        }
+        assert manifest("oracle") == {
+            "settings": settings(embedder="hash:64", ranker="noisy:0.25",
+                                 predictions_out="<tmp>/oracle.jsonl"),
+            "seed": 0, **shas,
+            "backend_ids": {"generator": "file-generator",
+                            "embedder": "hash-embedder:dim=64",
+                            "ranker": "oracle:noisy:0.25"},
+            "cache": {},
+            "counts": counts,
+        }
 
     def test_rate_limit_of_zero_is_a_config_error(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
@@ -732,15 +917,16 @@ class TestSimulate:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["oracle"] == "noisy:0.2"
 
-    def test_bad_oracle(self, capsys):
-        assert run_cli("simulate", "--oracle", "psychic", "--trials", 5) == 2
+    @pytest.mark.parametrize("oracle", ["psychic", "http"])
+    def test_bad_oracle(self, capsys, oracle):
+        assert run_cli("simulate", "--oracle", oracle, "--trials", 5) == 2
+        assert f"error: unknown oracle kind '{oracle}'" in capsys.readouterr().err
 
 
 class TestBackendSpecs:
     def test_http_ranker_spec_with_retry_and_rate_limit(self):
         from tagrec import backends as be
-        from tagrec.cli import _build_ranker
-        ranker = _build_ranker({
+        ranker = _build("ranker", {
             "kind": "http", "model": "m", "base_url": "http://api.test/v1",
             "temperature": 0.5,
             "retry": {"max_attempts": 2, "base_delay": 0.1},
@@ -751,41 +937,48 @@ class TestBackendSpecs:
         assert ranker._client.retry == be.RetryPolicy(max_attempts=2,
                                                       base_delay=0.1)
 
-    def test_object_and_string_specs_build_alike(self):
-        from tagrec.cli import _build_embedder, _build_ranker
-        assert _build_embedder({"kind": "hash", "dim": 64}).backend_id == \
-            _build_embedder("hash:64").backend_id
-        assert _build_ranker({"kind": "noisy", "error_rate": 0.25}, seed=9) \
-            .spec == _build_ranker("noisy:0.25", seed=9).spec
+    @pytest.mark.parametrize("role, obj, string, options", [
+        ("embedder", {"kind": "hash", "dim": 64}, "hash:64", lambda e: e.dim),
+        ("ranker", {"kind": "noisy", "error_rate": 0.25}, "noisy:0.25",
+         lambda ranker: ranker.spec),
+        ("oracle", {"kind": "noisy", "error_rate": 0.25}, "noisy:0.25",
+         lambda spec: spec),
+    ], ids=["hash", "noisy-ranker", "noisy-oracle"])
+    def test_object_and_string_specs_build_alike(self, role, obj, string,
+                                                 options):
+        built, from_string = (_build(role, spec, seed=9)
+                              for spec in (obj, string))
+        assert type(built) is type(from_string)
+        assert options(built) == options(from_string)
+        assert getattr(built, "backend_id", None) == \
+            getattr(from_string, "backend_id", None)
 
-    def test_unknown_kinds_rejected(self):
-        from tagrec.cli import _build_embedder, _build_generator, _build_ranker
+    @pytest.mark.parametrize("role, spec", [
+        ("generator", "telepathy"),
+        ("embedder", "wavelet"),
+        ("ranker", "psychic"),
+        ("oracle", "http"),
+    ])
+    def test_unknown_kinds_rejected(self, role, spec):
         from tagrec.errors import ConfigError
-        with pytest.raises(ConfigError):
-            _build_embedder("wavelet")
-        with pytest.raises(ConfigError):
-            _build_generator("telepathy")
-        with pytest.raises(ConfigError):
-            _build_ranker("psychic", seed=0)
+        with pytest.raises(ConfigError, match=f"unknown {role} kind '{spec}'"):
+            _build(role, spec, seed=0)
 
     def test_cache_wraps_every_backend_that_builds_keys(self, tmp_path):
         from tagrec import backends as be
-        from tagrec.cli import _build_ranker, _wrap_with_cache
-        generator, embedder = be.FileBackedGenerator(), be.HashEmbedder(8)
-        http_embedder = be.HttpEmbedder("e", "http://api.test/v1")
-        ranker = _build_ranker("perfect", seed=0)
-        assert _wrap_with_cache({}, generator, http_embedder, ranker) == (
-            generator, http_embedder, ranker)
-        settings = {"cache_dir": str(tmp_path / "cache")}
-        wrapped = _wrap_with_cache(settings, generator, http_embedder, ranker)
-        assert [type(b) for b in wrapped] == [
+        settings = {"generator": "file", "embedder": HTTP_EMBEDDER,
+                    "ranker": "perfect", "seed": 0, "cache_dir": None}
+        roles = ("generator", "embedder", "ranker")
+        assert [type(b) for b in _backends(settings, *roles)] == [
+            be.FileBackedGenerator, be.HttpEmbedder, OracleRanker]
+        settings["cache_dir"] = str(tmp_path / "cache")
+        assert [type(b) for b in _backends(settings, *roles)] == [
             be.FileBackedGenerator, be.CachingEmbedder, be.CachingRanker]
-        assert _wrap_with_cache(settings, generator, embedder, ranker)[1] \
-            is embedder
+        [embedder] = _backends({**settings, "embedder": "hash:8"}, "embedder")
+        assert type(embedder) is be.HashEmbedder
 
     def test_oracle_ranker_seeded_from_run_seed(self):
-        from tagrec.cli import _build_ranker
-        ranker = _build_ranker("noisy:0.25", seed=9)
+        ranker = _build("ranker", "noisy:0.25", seed=9)
         assert ranker.spec.error_rate == 0.25
         assert ranker.spec.seed == 9
 
@@ -800,6 +993,39 @@ class TestCache:
         assert f"cache directory does not exist: {missing}" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, specs", [
+        ("run", {"embedder": HTTP_EMBEDDER, "ranker": "noisy:2"}),
+        ("run", {"ranker": HTTP_RANKER, "generator": "file:x"}),
+        ("sweep", {"embedder": HTTP_EMBEDDER, "ranker": "psychic"}),
+        ("embed-index", {"embedder": "hash:0"}),
+    ])
+    def test_a_bad_spec_leaves_no_cache_directory(self, workspace, capsys,
+                                                  command, specs):
+        tmp, taxonomy, dataset = workspace
+        config = tmp / "run.json"
+        config.write_text(json.dumps(specs))
+        argv = {"run": ["--dataset", dataset],
+                "sweep": ["--dataset", dataset, "--axis", "iterations",
+                          "--values", "1"],
+                "embed-index": ["--index", tmp / "x.idx"]}[command]
+        assert run_cli(command, "--config", config, "--taxonomy", taxonomy,
+                       "--cache-dir", tmp / "cache", *argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["run", "embed-index"])
+    def test_a_cache_dir_that_is_a_file_exits_2(self, workspace, capsys,
+                                                no_backend_calls, command):
+        tmp, taxonomy, dataset = workspace
+        (tmp / "cache").write_text("")
+        argv = {"run": ["--dataset", dataset, "--ranker", "perfect",
+                        "--predictions-out", tmp / "p.jsonl"],
+                "embed-index": ["--index", tmp / "x.idx"]}[command]
+        assert run_cli(command, "--taxonomy", taxonomy, "--cache-dir",
+                       tmp / "cache", *argv) == 2
+        assert f"error: cache_dir {tmp / 'cache'}: " in capsys.readouterr().err
+        assert no_backend_calls == []
 
     def test_stats_and_clear(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
