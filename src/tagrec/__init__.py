@@ -11,15 +11,15 @@ testable without any remote model.
 
 from .corpus import NumeralRecord, TagDocument, TaxonomyCorpus, load_dataset, \
     load_taxonomy
-from .errors import BackendError, CacheConflictError, ConfigError, \
-    CorpusError, MissingGenerationError, TagRecError, UnparseableReplyError
+from .errors import BackendError, CacheConflictError, CacheEntryError, \
+    ConfigError, CorpusError, MissingGenerationError, TagRecError, \
+    UnparseableReplyError
 from .evaluation import EvalReport, PredictionSet, SweepAxis, \
     evaluate_predictions, hits_at_1, macro_metrics
 from .prompting import RankingReply, assemble_generation_input, \
     build_rerank_prompt, parse_ranking_reply
 from .rerank import Ordering, RerankConfig, RerankTrace, VoteMode, VoteTally, \
-    partition_into_groups, rank_group, rerank_record, select_prediction, \
-    tally_votes
+    partition_into_groups, rank_group, rerank_record
 from .retrieval import Candidate, IndexScan, VectorIndex, build_index, \
     retrieve, top_k
 from .sim import OracleKind, OracleRanker, OracleSpec, oracle_rank, \

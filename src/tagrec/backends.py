@@ -47,7 +47,8 @@ import numpy as np
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
-from .errors import BackendError, CacheConflictError, MissingGenerationError
+from .errors import BackendError, CacheConflictError, CacheEntryError, \
+    MissingGenerationError
 
 __all__ = [
     "BackendRequest",
@@ -146,14 +147,26 @@ class ResponseCache:
     def _dir(self, key: str) -> str:
         return f"{self._root}/{key[:2]}/{key[2:4]}"
 
+    def damaged(self, key: str, exc: Exception) -> CacheEntryError:
+        """The error to raise for ``key``'s entry, which ``exc`` could not read."""
+        return CacheEntryError(
+            f"cache entry {self._dir(key)}/{key}.json is damaged "
+            f"({type(exc).__name__}: {exc}); `tagrec cache clear` removes it")
+
     def get(self, key: str) -> CacheEntry | None:
         try:
             with open(f"{self._dir(key)}/{key}.json", "rb") as fh:
                 doc = json.loads(fh.read().decode("utf-8"))
+            if not isinstance(doc["response"], str):
+                raise TypeError(f"response is {type(doc['response']).__name__}")
+            return CacheEntry(key=doc["key"], response=doc["response"],
+                              created_at=doc["created_at"],
+                              backend_id=doc["backend_id"])
         except FileNotFoundError:
             return None
-        return CacheEntry(key=doc["key"], response=doc["response"],
-                          created_at=doc["created_at"], backend_id=doc["backend_id"])
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError.
+        except (ValueError, KeyError, TypeError) as exc:
+            raise self.damaged(key, exc) from None
 
     def __contains__(self, key: str) -> bool:
         """Whether ``key`` has an entry, told without reading it."""
@@ -769,9 +782,12 @@ class CachingEmbedder(_CachingBase):
                         entry = self.cache.get(key)
                         if entry is not None:
                             self.counter.record(hit=True)
-                            yield _finite(np.asarray(
-                                json.loads(entry.response), dtype=np.float64),
-                                f"cache entry {key}")
+                            try:
+                                vectors = np.asarray(json.loads(entry.response),
+                                                     dtype=np.float64)
+                            except (ValueError, TypeError) as exc:
+                                raise self.cache.damaged(key, exc) from None
+                            yield _finite(vectors, f"cache entry {key}")
                             continue
                         # Cleared since the check (``tagrec cache clear``).
                         vectors = self.inner.embed_batch(texts)

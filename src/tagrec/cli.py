@@ -156,19 +156,31 @@ def _require_path(settings: dict, key: str) -> Path:
     return path
 
 
-def _check_outputs(**paths) -> None:
-    """A ConfigError naming the first of ``paths`` that cannot be written.
+def _reads(args: argparse.Namespace, settings: dict, *keys) -> dict:
+    """The files a command reads, by setting: its ``--config`` and ``keys``."""
+    return {"config": args.config, **{key: settings[key] for key in keys}}
+
+
+def _check_outputs(reads: dict, **writes) -> None:
+    """A ConfigError naming the first of ``writes`` that cannot be written.
 
     Outputs are written after the work, so each is checked before it: its
-    directory must exist, and it must not be a directory itself.  A
-    prebuilt index file passes both checks, so a run's ``index`` is
-    checked whenever it is given.
+    directory must exist, it must not be a directory itself, and it must
+    not be the file of another output or of one of ``reads``.  A prebuilt
+    index file passes these checks, so a run's ``index`` is checked
+    whenever it is given.
     """
-    for key, path in paths.items():
-        if path and Path(path).is_dir():
+    owners = {Path(path).resolve(): key for key, path in reads.items() if path}
+    for key, path in writes.items():
+        if not path:
+            continue
+        if Path(path).is_dir():
             raise ConfigError(f"{key} {path} is a directory")
-        if path and not Path(path).parent.is_dir():
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"{key} {path}: its directory does not exist")
+        owner = owners.setdefault(Path(path).resolve(), key)
+        if owner != key:
+            raise ConfigError(f"{key} {path} is the same file as {owner}")
 
 
 def _write_json(path, doc) -> None:
@@ -338,7 +350,7 @@ def cmd_embed_index(args: argparse.Namespace) -> int:
     index_path = settings["index"]
     if not index_path:
         raise ConfigError("index output path is required (flag --index)")
-    _check_outputs(index=index_path)
+    _check_outputs(_reads(args, settings, "taxonomy"), index=index_path)
     if Path(index_path).exists() and not args.force:
         raise ConfigError(
             f"index file exists: {index_path} (pass --force to overwrite)"
@@ -378,9 +390,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     predictions_path = Path(settings["predictions_out"])
     manifest_path = Path(f"{predictions_path}.manifest.json")
-    _check_outputs(predictions_out=predictions_path, manifest=manifest_path,
-                   trace_out=settings["trace_out"],
-                   index=settings["index"])
+    _check_outputs(
+        _reads(args, settings, "taxonomy", "dataset", "instruction_path"),
+        predictions_out=predictions_path, manifest=manifest_path,
+        trace_out=settings["trace_out"], index=settings["index"])
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
@@ -414,11 +427,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         summary += f" gold_in_top_k={rate:.4f}"
     print(summary)
     print(f"predictions -> {predictions_path}")
+    for status, rows in (("skipped", result.skipped), ("failed", result.failed)):
+        for row in rows:
+            print(f"{status} {row['record_id']}: {row['reason']}", file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_outputs(out=args.out)
+    _check_outputs({"predictions": args.predictions, "dataset": args.dataset},
+                   out=args.out)
     predictions_path = _require_path(vars(args), "predictions")
     dataset_path = _require_path(vars(args), "dataset")
     lines = [(_require_str(doc, "record_id", predictions_path, lineno),
@@ -455,25 +472,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis_values(axis: SweepAxis, raw: str) -> list:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("--values must list at least one value")
-    if axis is SweepAxis.ORDERING:
-        return parts
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"--values for {axis.value} must be integers") from None
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    _check_outputs(out=args.out, index=settings["index"])
+    _check_outputs(
+        _reads(args, settings, "taxonomy", "dataset", "instruction_path"),
+        out=args.out, index=settings["index"])
     template = _rerank_config(settings)
     instruction = _instruction_text(settings)
     axis = SweepAxis(args.axis)
-    values = _parse_axis_values(axis, args.values)
+    values = [value.strip() for value in args.values.split(",")]
     for value in values:  # checked as its flag would be, before any record runs
         try:
             apply_axis(template, axis, value)
@@ -499,7 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
-    _check_outputs(out=args.out)
+    _check_outputs(_reads(args, settings), out=args.out)
     config = _rerank_config(settings)
     spec = _build("oracle", args.oracle, config.seed)
     if args.trials < 1:

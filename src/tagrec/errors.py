@@ -25,5 +25,9 @@ class CacheConflictError(TagRecError):
     """A cache key was written twice with different content."""
 
 
+class CacheEntryError(TagRecError):
+    """A response cache entry file cannot be read back."""
+
+
 class ConfigError(TagRecError):
     """Invalid run configuration (bad paths, inconsistent parameters)."""

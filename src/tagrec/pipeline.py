@@ -32,7 +32,7 @@ from .errors import ConfigError, MissingGenerationError
 from .evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
     evaluate_predictions
 from .prompting import assemble_generation_input
-from .rerank import Ordering, RerankConfig, derive_seed, rerank_record
+from .rerank import RerankConfig, derive_seed, rerank_record
 from .retrieval import EmbedderBackend, IndexScan, VectorIndex, retrieve
 
 __all__ = [
@@ -188,15 +188,13 @@ def run_records(
 
 
 def apply_axis(config: RerankConfig, axis: SweepAxis, value) -> RerankConfig:
-    """Override the single swept field on an otherwise fixed configuration."""
-    if axis is SweepAxis.ITERATIONS:
-        return replace(config, iterations=int(value))
-    if axis is SweepAxis.GROUP_SIZE:
-        return replace(config, group_size=int(value))
-    if axis is SweepAxis.ORDERING:
-        ordering = value if isinstance(value, Ordering) else Ordering(str(value))
-        return replace(config, ordering=ordering)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    """Override the single swept field on an otherwise fixed configuration.
+
+    ``value`` is converted to the type of that field, so ``"4"`` sweeps
+    like ``4`` and ``"order-shuffled"`` like ``Ordering.ORDER_SHUFFLED``.
+    """
+    field = axis.value.replace("-", "_")
+    return replace(config, **{field: type(getattr(config, field))(value)})
 
 
 def run_sweep(

@@ -52,8 +52,6 @@ __all__ = [
     "derive_seed",
     "partition_into_groups",
     "rank_group",
-    "tally_votes",
-    "select_prediction",
     "rerank_record",
 ]
 
@@ -225,30 +223,6 @@ def rank_group(
                         fallback=False)
 
 
-def tally_votes(winners_per_iteration: Sequence[Sequence[str]]) -> VoteTally:
-    """Count how often each tag won any group, across all iterations."""
-    if not winners_per_iteration:
-        raise ValueError("winners_per_iteration must be non-empty")
-    counts: Counter[str] = Counter()
-    for round_winners in winners_per_iteration:
-        if not round_winners:
-            raise ValueError("an iteration produced no winners")
-        counts.update(round_winners)
-    return VoteTally(counts=dict(counts),
-                     total_rounds=len(winners_per_iteration))
-
-
-def select_prediction(tally: VoteTally, candidates: Sequence[Candidate]) -> str:
-    """The most-voted candidate; ties broken by best retrieval rank."""
-    if not tally.counts:
-        raise ValueError("tally is empty")
-    rank_of = {c.tag_id: c.retrieval_rank for c in candidates}
-    for tag_id in tally.counts:
-        if tag_id not in rank_of:
-            raise ValueError(f"tallied id {tag_id!r} is not a candidate")
-    return min(tally.counts, key=lambda t: (-tally.counts[t], rank_of[t]))
-
-
 def rerank_record(
     gen_doc: str,
     candidates: Sequence[Candidate],
@@ -287,17 +261,16 @@ def rerank_record(
 def _tally(candidates: Sequence[Candidate], rounds: Sequence[GroupAssignment],
            outcomes: list[list[GroupOutcome]], vote_mode: VoteMode,
            record_id: str) -> tuple[str, RerankTrace]:
-    winners_per_iteration: list[list[str]] = []
+    """The prediction (most votes, then best retrieval rank) and trace."""
+    votes: Counter[str] = Counter()
     iteration_traces: list[dict] = []
     fallback_events: list[dict] = []
     for t, (assignment, played) in enumerate(zip(rounds, outcomes), start=1):
-        winners = [o.winner.tag_id for o in played]
+        winners = [o.winner for o in played]
         if vote_mode is VoteMode.PER_ROUND:
-            champion = min((o.winner for o in played),
-                           key=lambda c: c.retrieval_rank)
-            winners_per_iteration.append([champion.tag_id])
+            votes[min(winners, key=lambda c: c.retrieval_rank).tag_id] += 1
         else:
-            winners_per_iteration.append(winners)
+            votes.update(c.tag_id for c in winners)
         fallback_events.extend(
             {"iteration": t, "group": g_idx, "reason": "unparseable-reply"}
             for g_idx, o in enumerate(played) if o.fallback)
@@ -306,15 +279,15 @@ def _tally(candidates: Sequence[Candidate], rounds: Sequence[GroupAssignment],
             "partition": [[c.tag_id for c in g] for g in assignment.drawn],
             "presented": [[c.tag_id for c in g] for g in assignment.groups],
             "replies": [o.raw_reply for o in played],
-            "winners": winners,
+            "winners": [c.tag_id for c in winners],
         })
-    tally = tally_votes(winners_per_iteration)
-    predicted = select_prediction(tally, candidates)
+    rank_of = {c.tag_id: c.retrieval_rank for c in candidates}
+    predicted = min(votes, key=lambda tag_id: (-votes[tag_id], rank_of[tag_id]))
     trace = RerankTrace(
         record_id=record_id,
         candidates=tuple(candidates),
         iterations=tuple(iteration_traces),
-        tally=tally,
+        tally=VoteTally(counts=dict(votes), total_rounds=len(rounds)),
         predicted_tag_id=predicted,
         fallback_events=tuple(fallback_events),
     )

@@ -16,7 +16,7 @@ from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
     HttpChatGenerator, HttpChatRanker, HttpEmbedder, RankRequest, \
     RateLimiter, ResponseCache, RetryPolicy, generate
 from tagrec.corpus import NumeralRecord
-from tagrec.errors import BackendError, CacheConflictError, \
+from tagrec.errors import BackendError, CacheConflictError, CacheEntryError, \
     MissingGenerationError
 from tagrec.prompting import assemble_generation_input
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
@@ -68,6 +68,31 @@ class TestResponseCache:
         with pytest.raises(CacheConflictError):
             cache.put(CacheEntry(key=key, response="two", created_at=1.0,
                                  backend_id="t"))
+
+    @pytest.mark.parametrize("content, error", [
+        (b'{"key": "\xff"}', "UnicodeDecodeError"),
+        (b"{not json", "JSONDecodeError"),
+        (b'{"key": "k", "response": "r"}', "KeyError"),
+        (b'["key", "response"]', "TypeError"),
+        (b'{"key": "k", "response": 5, "created_at": 0, "backend_id": "t"}',
+         "TypeError"),
+    ])
+    def test_a_damaged_entry_is_named_with_its_remedy(self, tmp_path,
+                                                     content, error):
+        """By ``get``, and by ``put`` when it compares with the entry."""
+        cache = ResponseCache(tmp_path / "cache")
+        entry = CacheEntry(key="ab" * 32, response="r", created_at=0.0,
+                           backend_id="t")
+        cache.put(entry)
+        path = tmp_path / "cache" / "ab" / "ab" / f"{entry.key}.json"
+        path.write_bytes(content)
+        message = re.escape(f"cache entry {path} is damaged ({error}: ") + \
+            ".*" + re.escape("); `tagrec cache clear` removes it")
+        with pytest.raises(CacheEntryError, match=message):
+            cache.get(entry.key)
+        with pytest.raises(CacheEntryError, match=message):
+            cache.put(entry)
+        assert path.read_bytes() == content
 
     def test_two_level_layout_and_stats(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
@@ -935,6 +960,26 @@ class TestCachingEmbedder:
         assert np.array_equal(missed.view(np.int64), hit.view(np.int64))
         want = Float32Embedder().embed_batch(texts).astype(np.float64)
         assert np.array_equal(missed.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("response, error", [
+        ("{not json", "JSONDecodeError"),
+        ('"text"', "ValueError"),
+        ("[[1.0], [2.0, 3.0]]", "ValueError"),
+        ('{"vectors": 1}', "TypeError"),
+    ])
+    def test_a_damaged_hit_is_named_with_its_remedy(self, tmp_path, response,
+                                                   error):
+        cache = ResponseCache(tmp_path / "cache")
+        inner = Float32Embedder()
+        key = inner.request_of(["a", "b"]).cache_key()
+        cache.put(CacheEntry(key=key, response=response, created_at=0.0,
+                             backend_id=inner.backend_id))
+        path = tmp_path / "cache" / key[:2] / key[2:4] / f"{key}.json"
+        message = re.escape(f"cache entry {path} is damaged ({error}: ") + \
+            ".*" + re.escape("); `tagrec cache clear` removes it")
+        with pytest.raises(CacheEntryError, match=message):
+            CachingEmbedder(inner, cache).embed_batch(["a", "b"])
+        assert inner.calls == 0
 
     def test_embed_batch_gives_its_turn_back_when_it_returns_or_raises(
             self, tmp_path):

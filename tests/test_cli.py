@@ -3,16 +3,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import threading
 import time
 
 import pytest
 
-from tagrec.backends import HashEmbedder
+from tagrec.backends import FileBackedGenerator, HashEmbedder
 from tagrec.cli import _backends, _build, build_parser, main
+from tagrec.corpus import load_dataset, load_taxonomy
 from tagrec.errors import BackendError
-from tagrec.retrieval import VectorIndex
-from tagrec.sim import OracleRanker
+from tagrec.evaluation import SweepAxis
+from tagrec.pipeline import run_sweep
+from tagrec.prompting import default_instruction
+from tagrec.rerank import RerankConfig
+from tagrec.retrieval import VectorIndex, build_index
+from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 from conftest import TEN_TAGS, FakeEmbeddingReply, FakeEmbeddingService, \
     make_records, write_dataset, write_taxonomy
@@ -251,6 +257,47 @@ class TestRun:
         assert "skipped=1" in capsys.readouterr().out
         assert len(predictions.read_text().splitlines()) == 2
 
+    def test_each_skipped_or_failed_record_is_named_with_its_reason(
+            self, tmp_path, capsys, monkeypatch):
+        taxonomy = write_taxonomy(tmp_path / "tax.jsonl")
+        records = make_records(4)
+        records[1] = dataclasses.replace(records[1], gen_tag_doc=None)
+        dataset = write_dataset(tmp_path / "data.jsonl", records)
+        rank = OracleRanker.rank_listwise
+
+        def refusing_r002(self, request):
+            if request.record_id == "r002":
+                raise BackendError("ranker: down")
+            return rank(self, request)
+        monkeypatch.setattr(OracleRanker, "rank_listwise", refusing_r002)
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect",
+                       "--predictions-out", tmp_path / "p.jsonl") == 0
+        captured = capsys.readouterr()
+        assert "predicted=2 skipped=1 failed=1" in captured.out
+        assert captured.err.splitlines() == [
+            "skipped r001: record 'r001' has no stored gen_tag_doc",
+            "failed r002: ranker: down",
+        ]
+
+    def test_a_damaged_cache_entry_fails_its_record_naming_the_file(
+            self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        argv = ["run", "--taxonomy", taxonomy, "--dataset", dataset,
+                "--ranker", "lexical", "--cache-dir", tmp / "cache",
+                "--predictions-out", tmp / "p.jsonl"]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        entry = sorted((tmp / "cache").glob("*/*/*.json"))[0]
+        entry.write_text("{not json")
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert "failed=1" in captured.out
+        [line] = captured.err.splitlines()
+        assert re.fullmatch(
+            rf"failed r00\d: cache entry {re.escape(str(entry))} is damaged "
+            r"\(JSONDecodeError: .*\); `tagrec cache clear` removes it", line)
+
     def test_warm_cache_rerun_is_byte_identical(self, workspace):
         tmp, taxonomy, dataset = workspace
         cache_dir = tmp / "cache"
@@ -418,6 +465,51 @@ class TestRun:
         assert sorted(p.name for p in tmp.iterdir()) == [
             "adir", "dataset.jsonl", "preds.jsonl", "taxonomy.jsonl"]
         assert list((tmp / "adir").iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--predictions-out", "out.jsonl", "--trace-out",
+          "./out.jsonl"], "trace_out ./out.jsonl is the same file as "
+                          "predictions_out"),
+        (["run", "--predictions-out", "p.jsonl", "--trace-out",
+          "p.jsonl.manifest.json"],
+         "trace_out p.jsonl.manifest.json is the same file as manifest"),
+        (["run", "--predictions-out", "link.jsonl"],
+         "predictions_out link.jsonl is the same file as dataset"),
+        (["run", "--predictions-out", "p.jsonl", "--index", "taxonomy.jsonl"],
+         "index taxonomy.jsonl is the same file as taxonomy"),
+        (["run", "--predictions-out", "p.jsonl", "--trace-out", "run.json"],
+         "trace_out run.json is the same file as config"),
+        (["sweep", "--axis", "iterations", "--values", "1", "--out",
+          "tags.idx", "--index", "tags.idx"],
+         "index tags.idx is the same file as out"),
+        (["embed-index", "--index", "taxonomy.jsonl", "--force"],
+         "index taxonomy.jsonl is the same file as taxonomy"),
+        (["evaluate", "--predictions", "taxonomy.jsonl", "--dataset",
+          "dataset.jsonl", "--out", "taxonomy.jsonl"],
+         "out taxonomy.jsonl is the same file as predictions"),
+        (["simulate", "--oracle", "perfect", "--trials", "5", "--out",
+          "run.json"], "out run.json is the same file as config"),
+    ], ids=["two-outputs", "the-manifest", "a-symlinked-input",
+            "index-and-input", "the-config", "sweep", "embed-index",
+            "evaluate", "simulate"])
+    def test_outputs_that_name_one_file_exit_2_before_the_run(
+            self, workspace, capsys, monkeypatch, no_backend_calls, argv,
+            message):
+        tmp, taxonomy, dataset = workspace
+        monkeypatch.chdir(tmp)
+        (tmp / "link.jsonl").symlink_to(dataset)
+        (tmp / "run.json").write_text(json.dumps({"seed": 1}))
+        inputs = ["--config", "run.json", "--taxonomy", "taxonomy.jsonl",
+                  "--dataset", "dataset.jsonl", "--ranker", "perfect"]
+        inputs = {"run": inputs, "sweep": inputs, "embed-index": inputs[:4],
+                  "simulate": inputs[:2], "evaluate": []}[argv[0]]
+        before = {p.name: p.read_bytes() for p in tmp.iterdir()}
+        assert run_cli(*argv, *inputs) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert no_backend_calls == []
+        assert {p.name: p.read_bytes() for p in tmp.iterdir()} == before
 
     @pytest.mark.parametrize("command, flag, content", [
         ("run", "--taxonomy", None),
@@ -839,6 +931,8 @@ class TestSweep:
         ("group-size", "11,5", "--values 11: group_size must not exceed top_k"),
         ("iterations", "0,2", "--values 0: iterations must be >= 1"),
         ("ordering", "order-preserving,bogus", "--values bogus: "),
+        ("iterations", "1,x", "--values x: invalid literal for int()"),
+        ("iterations", "1,,2", "--values : invalid literal for int()"),
     ])
     def test_a_bad_value_exits_2_before_any_record_runs(
             self, workspace, capsys, monkeypatch, axis, values, message):
@@ -856,6 +950,25 @@ class TestSweep:
         assert f"error: {message}" in capsys.readouterr().err
         assert calls == []
         assert not out_path.exists()
+
+    def test_the_table_of_values_1_2_is_the_library_sweep_of_1_and_2(
+            self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli(
+            "sweep", "--taxonomy", taxonomy, "--dataset", dataset,
+            "--ranker", "lexical", "--embedder", "hash:32", "--seed", 4,
+            "--axis", "iterations", "--values", "1, 2", "--out",
+            tmp / "sweep.json") == 0
+        corpus = load_taxonomy(taxonomy)
+        embedder = HashEmbedder(dim=32)
+        table = run_sweep(
+            load_dataset(dataset, corpus), corpus, build_index(corpus, embedder),
+            generator=FileBackedGenerator(), embedder=embedder,
+            ranker=OracleRanker(OracleSpec(OracleKind.LEXICAL, seed=4)),
+            template=RerankConfig(seed=4), instruction=default_instruction(),
+            axis=SweepAxis.ITERATIONS, values=[1, 2])
+        assert json.loads((tmp / "sweep.json").read_text()) == table.to_dict()
+        assert capsys.readouterr().out.startswith(table.render_text() + "\n")
 
     def test_a_dataset_without_gold_exits_2_before_any_record_runs(
             self, tmp_path, capsys, monkeypatch):

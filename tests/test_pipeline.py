@@ -206,6 +206,24 @@ class TestApplyAxis:
                             "order-shuffled")
         assert config.ordering is Ordering.ORDER_SHUFFLED
 
+    @pytest.mark.parametrize("axis, value, field, want", [
+        (SweepAxis.ITERATIONS, "3", "iterations", 3),
+        (SweepAxis.GROUP_SIZE, " 4 ", "group_size", 4),
+        (SweepAxis.ORDERING, Ordering.ORDER_SHUFFLED, "ordering",
+         Ordering.ORDER_SHUFFLED),
+    ])
+    def test_a_value_takes_the_type_of_its_field(self, axis, value, field,
+                                                 want):
+        config = apply_axis(RerankConfig(), axis, value)
+        assert getattr(config, field) == want
+        assert type(getattr(config, field)) is type(want)
+
+    @pytest.mark.parametrize("axis, value", [
+        (SweepAxis.ITERATIONS, "x"), (SweepAxis.ORDERING, "bogus")])
+    def test_a_value_of_the_wrong_form_raises(self, axis, value):
+        with pytest.raises(ValueError):
+            apply_axis(RerankConfig(), axis, value)
+
     def test_invalid_value_propagates(self):
         with pytest.raises(ValueError):
             apply_axis(RerankConfig(top_k=10), SweepAxis.GROUP_SIZE, 11)

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tagrec import rerank as rerank_module
 from tagrec.corpus import TagDocument
 from tagrec.rerank import Ordering, RerankConfig, VoteMode, derive_seed, \
-    partition_into_groups, rank_group, rerank_record, select_prediction, \
-    tally_votes
+    partition_into_groups, rank_group, rerank_record
 from tagrec.retrieval import Candidate
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec, \
     synthetic_candidates
@@ -213,38 +212,33 @@ class TestPlanPlayTally:
         assert ranker.calls == [] and predicted == "syn001"
 
 
+class ScriptedRanker:
+    """Ranks the next tag of ``picks`` first, one pick per call."""
+
+    backend_id = "scripted"
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def rank_listwise(self, request):
+        presented = [tag_id for tag_id, _ in request.items]
+        return f"[{presented.index(next(self.picks)) + 1}]"
+
+
 class TestTally:
-    def test_counts_across_iterations(self):
-        tally = tally_votes([["A", "B"], ["A", "C"], ["A", "B"]])
-        assert tally.counts == {"A": 3, "B": 2, "C": 1}
-        assert tally.total_rounds == 3
-
-    def test_single_iteration(self):
-        tally = tally_votes([["A", "B"]])
-        assert tally.counts == {"A": 1, "B": 1}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tally_votes([])
-        with pytest.raises(ValueError):
-            tally_votes([[]])
-
-
-class TestSelect:
-    def test_argmax(self):
-        cands = candidates_of(3)
-        tally = tally_votes([["c1", "c2"], ["c1", "c3"], ["c1", "c2"]])
-        assert select_prediction(tally, cands) == "c1"
-
-    def test_tie_broken_by_retrieval_rank(self):
-        cands = [Candidate("A", 0.9, 1), Candidate("B", 0.5, 3)]
-        tally = tally_votes([["A", "B"], ["B", "A"]])
-        assert tally.counts == {"A": 2, "B": 2}
-        assert select_prediction(tally, cands) == "A"
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="not a candidate"):
-            select_prediction(tally_votes([["X"]]), candidates_of(2))
+    @pytest.mark.parametrize("vote_mode", list(VoteMode))
+    def test_a_tie_goes_to_the_better_retrieval_rank(self, vote_mode):
+        # One group of all three per round: c3 wins the first and last
+        # round, c2 the two between, and c1, the best-ranked, none.
+        candidates = candidates_of(3)
+        config = RerankConfig(group_size=3, iterations=4, top_k=3,
+                              vote_mode=vote_mode)
+        predicted, trace = rerank_record(
+            "gen", candidates, texts_of(candidates), config,
+            ScriptedRanker(["c3", "c2", "c2", "c3"]))
+        assert trace.tally.counts == {"c3": 2, "c2": 2}
+        assert trace.tally.total_rounds == 4
+        assert predicted == trace.predicted_tag_id == "c2"
 
 
 def run_once(seed, *, iterations=8, group_size=5, top_k=10,
