@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -303,6 +304,8 @@ class RateLimiter:
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if not 0.0 <= min_interval < math.inf:  # NaN too
+            raise ValueError("min_interval must be finite and >= 0")
         self.max_in_flight = max_in_flight
         self._sem = threading.Semaphore(max_in_flight)
         self._min_interval = min_interval
@@ -431,8 +434,8 @@ class _HttpClient:
     def __init__(self, role: str, base_url: str, *, retry: RetryPolicy | None = None,
                  limiter: RateLimiter | None = None, timeout: float = 60.0,
                  session=None, sleep=time.sleep):
-        if not timeout > 0:  # NaN too
-            raise ValueError("timeout must be > 0")
+        if not 0 < timeout < math.inf:  # NaN too
+            raise ValueError("timeout must be finite and > 0")
         self.role = role
         self.base_url = _base_url(role, base_url).rstrip("/")
         self.retry = retry or RetryPolicy()
@@ -522,6 +525,8 @@ class _HttpChat(_HttpBackend):
 
     def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
                  system: str | None = None, **client_kwargs):
+        if not math.isfinite(temperature):
+            raise ValueError("temperature must be finite")
         self.model = model
         self.temperature = temperature
         self.system = system

@@ -179,12 +179,15 @@ def load_dataset(
             raise CorpusError(f"{path}:{lineno}: gold_tag_id must be string or null")
         if gen_doc is not None and not isinstance(gen_doc, str):
             raise CorpusError(f"{path}:{lineno}: gen_tag_doc must be string or null")
+        report_text = _require_str(obj, "report_text", path, lineno)
+        numeral = _require_str(obj, "numeral", path, lineno)
+        question = _require_str(obj, "question", path, lineno)
         try:
             record = NumeralRecord(
                 record_id=record_id,
-                report_text=_require_str(obj, "report_text", path, lineno),
-                numeral=_require_str(obj, "numeral", path, lineno),
-                question=_require_str(obj, "question", path, lineno),
+                report_text=report_text,
+                numeral=numeral,
+                question=question,
                 gold_tag_id=gold,
                 gen_tag_doc=gen_doc,
             )

@@ -185,6 +185,11 @@ class SweepCell:
     def failed(self) -> bool:
         return self.report is None
 
+    @property
+    def label(self) -> str:
+        """The value as the CLI spells it: an enum by its ``value``."""
+        return str(getattr(self.value, "value", self.value))
+
 
 @dataclass(frozen=True)
 class SweepTable:
@@ -196,7 +201,7 @@ class SweepTable:
             "axis": self.axis.value,
             "cells": [
                 {
-                    "value": str(cell.value),
+                    "value": cell.label,
                     "report": cell.report.to_dict() if cell.report else None,
                     "error": cell.error,
                 }
@@ -206,7 +211,7 @@ class SweepTable:
 
     def render_text(self) -> str:
         """Aligned table with one row per axis value."""
-        rows = [[str(cell.value)] + (cell.report.metric_cells() if cell.report
-                                     else ["failed", "-", "-", "-", "-"])
+        rows = [[cell.label] + (cell.report.metric_cells() if cell.report
+                                else ["failed", "-", "-", "-", "-"])
                 for cell in self.cells]
         return render_table((self.axis.value, *METRIC_COLUMNS), rows)

@@ -13,6 +13,14 @@ a remote ranker is kept busy up to its cap; a ranker without a cap, such as
 an in-process oracle, gets one record at a time.  A record's own ranker
 calls are made one after another.
 
+Generation and re-ranking run on the record's own thread, the caller or a
+record worker; retrieval runs on one ``tagrec-scan`` thread per call.  A
+thread queues its next record's retrieval before it waits for the current
+record's candidates, so the scan, which releases the interpreter lock while
+it scores, runs while the current record re-ranks.  Each thread's first
+retrieval comes back before it queues another, so an embedder of the wrong
+width is asked once per thread before the run fails.
+
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
 the run only fails on systemic problems, raised as :class:`ConfigError` (bad
@@ -22,7 +30,8 @@ config, unusable index, an embedder whose vectors do not fit the index).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -83,23 +92,11 @@ class RunResult:
         return PredictionSet(items=items)
 
 
-def _process_record(
-    record: NumeralRecord,
-    corpus_texts: dict[str, str],
-    scan: IndexScan,
-    generator: GeneratorBackend,
-    embedder: EmbedderBackend,
-    ranker: RankerBackend,
-    config: RerankConfig,
-    instruction: str,
-) -> tuple[str, dict | None, dict | None, str | None]:
-    """Returns (status, prediction, trace, reason)."""
-    request = assemble_generation_input(instruction, record)
-    try:
-        gen_doc = generate(request, generator)
-    except MissingGenerationError as exc:
-        return "skipped", None, None, str(exc)
-    candidates = retrieve(record, gen_doc, scan, embedder, config.top_k)
+def _reranked(record: NumeralRecord, gen_doc: str, candidates: list,
+              corpus_texts: dict[str, str], ranker: RankerBackend,
+              config: RerankConfig) -> tuple[str, dict, dict, None]:
+    """The outcome of a record with its candidates: (status, prediction,
+    trace, reason)."""
     record_cfg = replace(config, seed=derive_seed(config.seed, record.record_id))
     predicted, trace = rerank_record(
         gen_doc, candidates, corpus_texts, record_cfg, ranker,
@@ -132,10 +129,11 @@ def run_records(
 
     ``concurrency`` is the number of records worked on at a time; ``None``
     takes the ranker's ``max_in_flight``, or 1 for a ranker without one.
-    A plain index is prepared for scanning (see :mod:`tagrec.retrieval`)
-    and the worker pool is made once per call; both are dropped before the
-    call returns.  Pass an :class:`IndexScan` in place of the index to
-    share one preparation across calls, as :func:`run_sweep` does.
+    A plain index is prepared for scanning (see :mod:`tagrec.retrieval`);
+    the scan thread, the worker pool and the scan are made once per call
+    and dropped before the call returns or raises.  Pass an
+    :class:`IndexScan` in place of the index to share one preparation
+    across calls, as :func:`run_sweep` does.
     """
     if concurrency is None:
         concurrency = getattr(ranker, "max_in_flight", None) or 1
@@ -150,24 +148,64 @@ def run_records(
 
     corpus_texts = corpus.texts()
     scan = index if isinstance(index, IndexScan) else IndexScan(index)
+    lock = threading.Lock()
+    queue = iter(records)
 
-    def work(record: NumeralRecord):
+    def take() -> NumeralRecord | None:
+        with lock:
+            return next(queue, None)
+
+    def finish(record: NumeralRecord, gen_doc: str, found: Future):
         try:
-            return record.record_id, _process_record(
-                record, corpus_texts, scan, generator, embedder, ranker,
-                config, instruction,
-            )
+            return record.record_id, _reranked(
+                record, gen_doc, found.result(), corpus_texts, ranker, config)
         except ConfigError:
             raise
         except Exception as exc:
             return record.record_id, ("failed", None, None, str(exc))
 
-    if concurrency == 1:
-        outcomes = [work(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency,
-                                thread_name_prefix="tagrec-record") as pool:
-            outcomes = list(pool.map(work, records))
+    def work(scanner: ThreadPoolExecutor) -> list:
+        """Generate and re-rank records on this thread until none is left,
+        each retrieved on the scan thread one record ahead."""
+        done: list = []
+        sent: list = []
+        warm = False
+        for record in iter(take, None):
+            try:
+                gen_doc = generate(assemble_generation_input(instruction, record),
+                                   generator)
+            except MissingGenerationError as exc:
+                done.append((record.record_id, ("skipped", None, None, str(exc))))
+                continue
+            except ConfigError:
+                raise
+            except Exception as exc:
+                done.append((record.record_id, ("failed", None, None, str(exc))))
+                continue
+            found = scanner.submit(retrieve, record, gen_doc, scan, embedder,
+                                   config.top_k)
+            sent.append((record, gen_doc, found))
+            if len(sent) > 1:
+                done.append(finish(*sent.pop(0)))
+            elif not warm:
+                # The first retrieval comes back before another is queued,
+                # so an embedder of the wrong width is asked once.
+                warm = True
+                if isinstance(found.exception(), ConfigError):
+                    raise found.exception()
+        done.extend(finish(*s) for s in sent)
+        return done
+
+    workers = min(concurrency, len(records))
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="tagrec-scan") as scanner:
+        if workers <= 1:
+            outcomes = work(scanner)
+        else:
+            with ThreadPoolExecutor(max_workers=workers,
+                                    thread_name_prefix="tagrec-record") as pool:
+                futures = [pool.submit(work, scanner) for _ in range(workers)]
+            outcomes = [o for f in futures for o in f.result()]
 
     predictions: list[dict] = []
     traces: list[dict] = []

@@ -5,6 +5,14 @@ every query is scored against every tag document embedding and the k highest
 cosine similarities win.  Ties are broken by corpus order (earlier wins) so
 runs are reproducible.  No approximate-nearest-neighbor structure.
 
+Scores come from numpy's own loops (``einsum``), not BLAS: a BLAS mat-vec
+sums in an order that depends on the kernel OpenBLAS picks for the CPU, so
+its last bits, and with them traces and the order of near-ties, would
+change from one machine to another.  ``einsum`` also runs on the calling
+thread alone and releases the interpreter lock, which lets
+:func:`tagrec.pipeline.run_records` score one record while it re-ranks
+another.
+
 The scan works on an :class:`IndexScan`: the index rows cast to float64 and
 their norms.  ``run_records`` builds one per call unless it is given one,
 and ``run_sweep`` one per sweep; each drops the scan it built when it
@@ -255,12 +263,12 @@ def top_k(query, index: VectorIndex | IndexScan, k: int) -> list[Candidate]:
         raise ValueError(f"dimension mismatch: query {q.shape[0]} vs index {scan.dim}")
     if not 1 <= k <= len(scan):
         raise ValueError(f"k={k} out of range for index of size {len(scan)}")
-    qn = np.linalg.norm(q)
+    qn = np.sqrt(np.einsum("i,i->", q, q))
     if qn == 0.0:
         raise ValueError("cosine similarity undefined for a zero query vector")
     if scan.zero_tag_id is not None:
         raise ValueError(f"index entry {scan.zero_tag_id!r} has a zero vector")
-    scores = (scan.matrix @ q) / (scan.norms * qn)
+    scores = np.einsum("ij,j->i", scan.matrix, q) / (scan.norms * qn)
     return [
         Candidate(tag_id=scan.tag_ids[int(pos)], score=float(scores[int(pos)]),
                   retrieval_rank=rank)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import threading
 import time
@@ -16,7 +17,7 @@ from tagrec.errors import BackendError
 from tagrec.evaluation import SweepAxis
 from tagrec.pipeline import run_sweep
 from tagrec.prompting import default_instruction
-from tagrec.rerank import RerankConfig
+from tagrec.rerank import Ordering, RerankConfig
 from tagrec.retrieval import VectorIndex, build_index
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
@@ -794,12 +795,19 @@ class TestMalformedBackendSpecs:
         ({"retry": {"max_attempts": 0}}, "max_attempts"),
         ({"timeout": 0}, "timeout"),
         ({"timeout": "nan"}, "timeout"),
+        ({"timeout": math.inf}, "timeout"),
+        ({"temperature": math.nan}, "temperature"),
+        ({"temperature": -math.inf}, "temperature"),
+        ({"rate_limit": {"min_interval": math.inf}}, "min_interval"),
+        ({"rate_limit": {"min_interval": math.nan}}, "min_interval"),
+        ({"rate_limit": {"min_interval": -1}}, "min_interval"),
     ])
-    def test_zero_retries_or_timeout_exit_2(self, workspace, capsys, setting,
-                                            message):
+    def test_a_client_setting_that_fails_every_call_exits_2(
+            self, workspace, capsys, setting, message):
         """Without the check the run exits 0 with every record failed."""
         assert self._run(workspace, ranker={**HTTP_RANKER, **setting}) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (workspace[0] / "p.jsonl").exists()
 
     def test_every_command_builds_backends_the_same_way(self, workspace,
@@ -951,13 +959,19 @@ class TestSweep:
         assert calls == []
         assert not out_path.exists()
 
-    def test_the_table_of_values_1_2_is_the_library_sweep_of_1_and_2(
-            self, workspace, capsys):
+    @pytest.mark.parametrize("axis, flag_values, values", [
+        (SweepAxis.ITERATIONS, "1, 2", [1, 2]),
+        (SweepAxis.ORDERING, "order-preserving,order-shuffled",
+         [Ordering.ORDER_PRESERVING, Ordering.ORDER_SHUFFLED]),
+    ])
+    def test_the_table_of_the_flag_values_is_the_library_sweep(
+            self, workspace, capsys, axis, flag_values, values):
+        """Labelled alike, enum values included."""
         tmp, taxonomy, dataset = workspace
         assert run_cli(
             "sweep", "--taxonomy", taxonomy, "--dataset", dataset,
             "--ranker", "lexical", "--embedder", "hash:32", "--seed", 4,
-            "--axis", "iterations", "--values", "1, 2", "--out",
+            "--axis", axis.value, "--values", flag_values, "--out",
             tmp / "sweep.json") == 0
         corpus = load_taxonomy(taxonomy)
         embedder = HashEmbedder(dim=32)
@@ -966,7 +980,7 @@ class TestSweep:
             generator=FileBackedGenerator(), embedder=embedder,
             ranker=OracleRanker(OracleSpec(OracleKind.LEXICAL, seed=4)),
             template=RerankConfig(seed=4), instruction=default_instruction(),
-            axis=SweepAxis.ITERATIONS, values=[1, 2])
+            axis=axis, values=values)
         assert json.loads((tmp / "sweep.json").read_text()) == table.to_dict()
         assert capsys.readouterr().out.startswith(table.render_text() + "\n")
 

@@ -19,7 +19,7 @@ import pytest
 
 from tagrec.backends import BackendRequest, CachingRanker, \
     FileBackedGenerator, HashEmbedder, RankRequest, ResponseCache
-from tagrec.errors import BackendError
+from tagrec.errors import BackendError, ConfigError
 from tagrec.pipeline import jsonl_line, run_records
 from tagrec.rerank import Ordering, RerankConfig, VoteMode
 from tagrec.retrieval import build_index
@@ -119,9 +119,10 @@ def _lines(result) -> tuple[list[str], list[str]]:
             [jsonl_line(t) for t in result.traces])
 
 
-def _record_threads() -> list[threading.Thread]:
+def _run_threads() -> list[threading.Thread]:
+    """The threads a run starts: its record workers and its scan thread."""
     return [t for t in threading.enumerate()
-            if t.name.startswith("tagrec-record")]
+            if t.name.startswith(("tagrec-record", "tagrec-scan"))]
 
 
 def _replies(result) -> int:
@@ -238,6 +239,62 @@ class TestRepeatsBehindACache:
         assert cached._in_flight == set()
 
 
+class WatchedEmbedder(HashEmbedder):
+    """Notes the thread of every query and sets an event per text embedded."""
+
+    def __init__(self, texts=(), dim=64):
+        super().__init__(dim=dim)
+        self.threads: list[str] = []
+        self.embedded = {text: threading.Event() for text in texts}
+
+    def embed_batch(self, texts):
+        self.threads.append(threading.current_thread().name)
+        vectors = super().embed_batch(texts)
+        for text in set(texts) & self.embedded.keys():
+            self.embedded[text].set()
+        return vectors
+
+
+class TestScanThread:
+    def test_the_next_retrieval_is_queued_before_a_record_re_ranks(self,
+                                                                   parts):
+        """Each record re-ranks while the scan thread retrieves the next
+        one; every retrieval runs on the scan thread."""
+        corpus, index, _ = parts
+        records = make_records(5)
+        embedder = WatchedEmbedder([r.gen_tag_doc for r in records])
+        next_doc = {a.record_id: b.gen_tag_doc
+                    for a, b in zip(records, records[1:])}
+        ahead = {}
+
+        class WaitingRanker(ScrambledRanker):
+            def rank_listwise(self, request):
+                doc = next_doc.get(request.record_id)
+                if doc is not None and request.record_id not in ahead:
+                    ahead[request.record_id] = embedder.embedded[doc].wait(10)
+                return super().rank_listwise(request)
+
+        result = _run((corpus, index, embedder), WaitingRanker(),
+                      records=records)
+        assert ahead == {"r000": True, "r001": True, "r002": True,
+                         "r003": True}
+        assert len(embedder.threads) == 5
+        assert all(name.startswith("tagrec-scan") for name in embedder.threads)
+        assert _lines(result) == _lines(_run(parts, ScrambledRanker(),
+                                             records=records))
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_a_width_mismatch_asks_each_worker_once_and_joins_every_thread(
+            self, parts, concurrency):
+        corpus, index, _ = parts
+        embedder = WatchedEmbedder(dim=32)
+        with pytest.raises(ConfigError, match="32-dimensional"):
+            _run((corpus, index, embedder), ScrambledRanker(),
+                 concurrency=concurrency, records=make_records(8))
+        assert 1 <= len(embedder.threads) <= concurrency
+        assert _run_threads() == []
+
+
 class TestFailures:
     def test_the_first_failed_call_of_a_record_is_its_reason(self, parts):
         class FailingRanker(ScrambledRanker):
@@ -257,11 +314,11 @@ class TestFailures:
         assert ranker.failures == 1  # the record stopped at its first failure
         assert [p["record_id"] for p in result.predictions] == \
             ["r000", "r001", "r003", "r004"]
-        assert _record_threads() == []
+        assert _run_threads() == []
 
     def test_no_worker_thread_outlives_the_run(self, parts):
         _run(parts, ScrambledRanker(max_in_flight=4))
-        assert _record_threads() == []
+        assert _run_threads() == []
 
     def test_stress_more_workers_than_cores(self, parts):
         """Eight record workers, switching often."""
@@ -282,4 +339,4 @@ class TestFailures:
         assert 1 < ranker.peak <= 8
         assert ranker.calls == _replies(reference)
         assert _lines(results[0]) == _lines(reference)
-        assert _record_threads() == []
+        assert _run_threads() == []

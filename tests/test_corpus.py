@@ -87,6 +87,19 @@ def test_load_dataset_rejects_missing_numeral(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field", ["report_text", "numeral", "question"])
+def test_load_dataset_names_a_bad_line_once(tmp_path, field):
+    path = tmp_path / "data.jsonl"
+    obj = {"record_id": "r1", "report_text": "was 5 .", "numeral": "5",
+           "question": "q"}
+    del obj[field]
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(CorpusError) as info:
+        load_dataset(path)
+    assert str(info.value).count(f"{path}:1") == 1
+    assert field in str(info.value)
+
+
 def test_load_dataset_unknown_gold_tag(tmp_path):
     corpus = make_corpus([("T1", "doc one")])
     path = tmp_path / "data.jsonl"

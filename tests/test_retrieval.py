@@ -30,12 +30,15 @@ def brute_force_top_k(query, index, k):
 def per_query_top_k(query, vectors, k):
     """The per-query scan IndexScan replaces: float64 copy, norms, full sort.
 
-    Returns (position, score.hex()) pairs, so scores compare bit for bit.
+    Scores come from numpy's own loops (``einsum``), never BLAS, so their
+    bits do not depend on the CPU's BLAS kernel.  Returns (position,
+    score.hex()) pairs, so scores compare bit for bit.
     """
     q = np.asarray(query, dtype=np.float64)
     mat = vectors.astype(np.float64)
     norms = np.linalg.norm(mat, axis=1)
-    scores = (mat @ q) / (norms * np.linalg.norm(q))
+    scores = (np.einsum("ij,j->i", mat, q)
+              / (norms * np.sqrt(np.einsum("i,i->", q, q))))
     order = np.argsort(-scores, kind="stable")[:k]
     return [(int(pos), float(scores[pos]).hex()) for pos in order]
 
