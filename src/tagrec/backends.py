@@ -301,9 +301,14 @@ class RetryPolicy:
 class RateLimiter:
     """Caps in-flight requests and enforces a minimum inter-request gap."""
 
+    # The cap sizes the http connection pool and the embedder's worker
+    # pool, so it is bounded before either is built.
+    MAX_IN_FLIGHT = 64
+
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= max_in_flight <= self.MAX_IN_FLIGHT:
+            raise ValueError(f"max_in_flight must be from 1 to "
+                             f"{self.MAX_IN_FLIGHT}, got {max_in_flight}")
         if not 0.0 <= min_interval < math.inf:  # NaN too
             raise ValueError("min_interval must be finite and >= 0")
         self.max_in_flight = max_in_flight

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from enum import EnumMeta
 from pathlib import Path
@@ -35,8 +36,8 @@ BACKEND = "backend"  # a spec string such as hash:64, or a JSON object
 
 # Every setting a --config file may hold, as (default, kind, flag help); each
 # is also a flag of the same name on the subcommands that read it.  Kinds are
-# int, str, an Enum class and BACKEND; only a setting whose default is None
-# may be null.
+# int, str (every str setting is a path), an Enum class and BACKEND; only a
+# setting whose default is None may be null.
 SETTINGS = {
     "taxonomy": (None, str, "taxonomy JSONL path"),
     "dataset": (None, str, "dataset JSONL path"),
@@ -96,6 +97,14 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
+def _nameable(path: str) -> bool:
+    """Whether ``path`` encodes to file system bytes with no NUL among them."""
+    try:
+        return b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+
+
 def _convert(key: str, value):
     """``value`` as setting ``key`` holds it, or a ConfigError naming it."""
     default, kind, _ = SETTINGS[key]
@@ -112,6 +121,9 @@ def _convert(key: str, value):
             return int(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if kind is str and isinstance(value, str) and not _nameable(value):
+        raise ConfigError(f"{key} must be a path with no NUL character or "
+                          f"lone surrogate, got {value!r}")
     if isinstance(value, str) or (kind is BACKEND and isinstance(value, dict)):
         return value
     expected = "a backend spec string or object" if kind is BACKEND else "a string"

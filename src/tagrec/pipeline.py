@@ -13,13 +13,13 @@ a remote ranker is kept busy up to its cap; a ranker without a cap, such as
 an in-process oracle, gets one record at a time.  A record's own ranker
 calls are made one after another.
 
-Generation and re-ranking run on the record's own thread, the caller or a
-record worker; retrieval runs on one ``tagrec-scan`` thread per call.  A
-thread queues its next record's retrieval before it waits for the current
-record's candidates, so the scan, which releases the interpreter lock while
-it scores, runs while the current record re-ranks.  Each thread's first
-retrieval comes back before it queues another, so an embedder of the wrong
-width is asked once per thread before the run fails.
+Each record is generated, retrieved and re-ranked on one thread, the
+caller's or a record worker's, which takes records from a shared queue
+until none is left.  A worker stops at the first :class:`ConfigError`, so
+an embedder of the wrong width is asked once per worker before the run
+fails.  Retrieval scores only the query's nonzero dimensions (see
+:mod:`tagrec.retrieval`), which for hash-bag queries costs about a tenth
+of a millisecond at 5,000 tags, so it needs no thread of its own.
 
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -130,10 +130,9 @@ def run_records(
     ``concurrency`` is the number of records worked on at a time; ``None``
     takes the ranker's ``max_in_flight``, or 1 for a ranker without one.
     A plain index is prepared for scanning (see :mod:`tagrec.retrieval`);
-    the scan thread, the worker pool and the scan are made once per call
-    and dropped before the call returns or raises.  Pass an
-    :class:`IndexScan` in place of the index to share one preparation
-    across calls, as :func:`run_sweep` does.
+    the worker pool and the scan are made once per call and dropped before
+    the call returns or raises.  Pass an :class:`IndexScan` in place of the
+    index to share one preparation across calls, as :func:`run_sweep` does.
     """
     if concurrency is None:
         concurrency = getattr(ranker, "max_in_flight", None) or 1
@@ -155,57 +154,35 @@ def run_records(
         with lock:
             return next(queue, None)
 
-    def finish(record: NumeralRecord, gen_doc: str, found: Future):
-        try:
-            return record.record_id, _reranked(
-                record, gen_doc, found.result(), corpus_texts, ranker, config)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            return record.record_id, ("failed", None, None, str(exc))
-
-    def work(scanner: ThreadPoolExecutor) -> list:
-        """Generate and re-rank records on this thread until none is left,
-        each retrieved on the scan thread one record ahead."""
+    def work() -> list:
+        """Process records on this thread until none is left, or until one
+        raises a ConfigError."""
         done: list = []
-        sent: list = []
-        warm = False
         for record in iter(take, None):
             try:
                 gen_doc = generate(assemble_generation_input(instruction, record),
                                    generator)
+                candidates = retrieve(record, gen_doc, scan, embedder,
+                                      config.top_k)
+                outcome = _reranked(record, gen_doc, candidates, corpus_texts,
+                                    ranker, config)
             except MissingGenerationError as exc:
-                done.append((record.record_id, ("skipped", None, None, str(exc))))
-                continue
+                outcome = "skipped", None, None, str(exc)
             except ConfigError:
                 raise
             except Exception as exc:
-                done.append((record.record_id, ("failed", None, None, str(exc))))
-                continue
-            found = scanner.submit(retrieve, record, gen_doc, scan, embedder,
-                                   config.top_k)
-            sent.append((record, gen_doc, found))
-            if len(sent) > 1:
-                done.append(finish(*sent.pop(0)))
-            elif not warm:
-                # The first retrieval comes back before another is queued,
-                # so an embedder of the wrong width is asked once.
-                warm = True
-                if isinstance(found.exception(), ConfigError):
-                    raise found.exception()
-        done.extend(finish(*s) for s in sent)
+                outcome = "failed", None, None, str(exc)
+            done.append((record.record_id, outcome))
         return done
 
     workers = min(concurrency, len(records))
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="tagrec-scan") as scanner:
-        if workers <= 1:
-            outcomes = work(scanner)
-        else:
-            with ThreadPoolExecutor(max_workers=workers,
-                                    thread_name_prefix="tagrec-record") as pool:
-                futures = [pool.submit(work, scanner) for _ in range(workers)]
-            outcomes = [o for f in futures for o in f.result()]
+    if workers <= 1:
+        outcomes = work()
+    else:
+        with ThreadPoolExecutor(max_workers=workers,
+                                thread_name_prefix="tagrec-record") as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+        outcomes = [o for f in futures for o in f.result()]
 
     predictions: list[dict] = []
     traces: list[dict] = []

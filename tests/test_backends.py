@@ -1101,6 +1101,14 @@ class TestInFlightCap:
         with pytest.raises(ValueError, match="max_in_flight"):
             RateLimiter(max_in_flight=0)
 
+    def test_limiter_rejects_a_cap_above_its_bound(self):
+        """Checked before any pool is sized from the cap."""
+        assert RateLimiter(max_in_flight=64).max_in_flight == 64
+        for cap in (65, 2**40):
+            with pytest.raises(ValueError, match="max_in_flight must be from "
+                                                 "1 to 64"):
+                RateLimiter(max_in_flight=cap)
+
     def test_http_ranker_exposes_its_limiter_cap(self, tmp_path):
         ranker = HttpChatRanker("m", "http://x", session=FakeSession([]),
                                 limiter=RateLimiter(max_in_flight=7))

@@ -377,6 +377,10 @@ class TestRun:
                                  "['order-preserving', 'order-shuffled']"),
         ("predictions_out", None, "predictions_out must be a string"),
         ("ranker", 3, "ranker must be a backend spec string or object"),
+        *((key, path, f"{key} must be a path with no NUL character or lone "
+                      f"surrogate, got {path!r}")
+          for key in ("trace_out", "cache_dir", "index")
+          for path in ("out\0put", "out\ud800put")),
     ])
     def test_config_value_of_a_wrong_type_exits_2(self, workspace, capsys,
                                                   key, value, message):
@@ -1090,6 +1094,16 @@ class TestBackendSpecs:
         from tagrec.errors import ConfigError
         with pytest.raises(ConfigError, match=f"unknown {role} kind '{spec}'"):
             _build(role, spec, seed=0)
+
+    @pytest.mark.parametrize("role, spec", [("ranker", HTTP_RANKER),
+                                            ("embedder", HTTP_EMBEDDER)])
+    def test_a_rate_limit_above_its_bound_is_rejected_by_the_converter(
+            self, role, spec):
+        """Before the client's connection pool is sized from it."""
+        from tagrec.errors import ConfigError
+        with pytest.raises(ConfigError, match="^backend spec .*max_in_flight "
+                                              "must be from 1 to 64, got 65$"):
+            _build(role, {**spec, "rate_limit": {"max_in_flight": 65}})
 
     def test_cache_wraps_every_backend_that_builds_keys(self, tmp_path):
         from tagrec import backends as be

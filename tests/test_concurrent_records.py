@@ -120,9 +120,9 @@ def _lines(result) -> tuple[list[str], list[str]]:
 
 
 def _run_threads() -> list[threading.Thread]:
-    """The threads a run starts: its record workers and its scan thread."""
+    """The threads a run starts: its record workers."""
     return [t for t in threading.enumerate()
-            if t.name.startswith(("tagrec-record", "tagrec-scan"))]
+            if t.name.startswith("tagrec-record")]
 
 
 def _replies(result) -> int:
@@ -240,48 +240,36 @@ class TestRepeatsBehindACache:
 
 
 class WatchedEmbedder(HashEmbedder):
-    """Notes the thread of every query and sets an event per text embedded."""
+    """Notes the thread of every query; the first ``together`` queries
+    wait until all of them are in flight."""
 
-    def __init__(self, texts=(), dim=64):
+    def __init__(self, dim=64, together=1):
         super().__init__(dim=dim)
         self.threads: list[str] = []
-        self.embedded = {text: threading.Event() for text in texts}
+        self.barrier = threading.Barrier(together, timeout=10)
 
     def embed_batch(self, texts):
         self.threads.append(threading.current_thread().name)
-        vectors = super().embed_batch(texts)
-        for text in set(texts) & self.embedded.keys():
-            self.embedded[text].set()
-        return vectors
+        if len(self.threads) <= self.barrier.parties:
+            self.barrier.wait()
+        return super().embed_batch(texts)
 
 
-class TestScanThread:
-    def test_the_next_retrieval_is_queued_before_a_record_re_ranks(self,
-                                                                   parts):
-        """Each record re-ranks while the scan thread retrieves the next
-        one; every retrieval runs on the scan thread."""
+class TestRecordThreads:
+    def test_the_workers_first_queries_are_embedded_at_once(self, parts):
+        """Each worker retrieves on its own thread, so an http embedder
+        gets the three workers' first queries together."""
         corpus, index, _ = parts
-        records = make_records(5)
-        embedder = WatchedEmbedder([r.gen_tag_doc for r in records])
-        next_doc = {a.record_id: b.gen_tag_doc
-                    for a, b in zip(records, records[1:])}
-        ahead = {}
-
-        class WaitingRanker(ScrambledRanker):
-            def rank_listwise(self, request):
-                doc = next_doc.get(request.record_id)
-                if doc is not None and request.record_id not in ahead:
-                    ahead[request.record_id] = embedder.embedded[doc].wait(10)
-                return super().rank_listwise(request)
-
-        result = _run((corpus, index, embedder), WaitingRanker(),
-                      records=records)
-        assert ahead == {"r000": True, "r001": True, "r002": True,
-                         "r003": True}
-        assert len(embedder.threads) == 5
-        assert all(name.startswith("tagrec-scan") for name in embedder.threads)
+        embedder = WatchedEmbedder(together=3)
+        records = make_records(6)
+        result = _run((corpus, index, embedder),
+                      ScrambledRanker(max_in_flight=3), records=records)
+        assert result.failed == []
+        assert len(embedder.threads) == 6
+        assert all(name.startswith("tagrec-record") for name in embedder.threads)
         assert _lines(result) == _lines(_run(parts, ScrambledRanker(),
                                              records=records))
+        assert _run_threads() == []
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_a_width_mismatch_asks_each_worker_once_and_joins_every_thread(

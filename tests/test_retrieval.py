@@ -350,9 +350,40 @@ class TestIndexScan:
         for k in range(1, scores.size + 1):
             assert _top_positions(scores, k).tolist() == full[:k].tolist()
 
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 37, 256])
+    def test_score_bits_follow_einsum_on_a_seeded_sweep(self, dim):
+        """Single-row indexes, dense and ~5%-dense queries, and negative
+        entries, so that some skipped products are -0.0.  A sum in any
+        other order than einsum's differs from it in some last bit here."""
+        rng = np.random.default_rng(dim)
+        for case in range(200):
+            n = 1 if case % 3 == 0 else int(rng.integers(2, 30))
+            vectors = rng.normal(size=(n, dim)).astype(np.float32)
+            index = VectorIndex(tag_ids=tuple(f"t{i}" for i in range(n)),
+                                vectors=vectors)
+            density = 1.0 if case % 2 else 0.05
+            query = rng.normal(size=dim) * (rng.random(dim) < density)
+            query[rng.integers(dim)] = rng.normal()
+            expected = [(index.tag_ids[pos], bits)
+                        for pos, bits in per_query_top_k(query, vectors, n)]
+            got = [(c.tag_id, c.score.hex())
+                   for c in top_k(query, IndexScan(index), n)]
+            assert got == expected
+
+    def test_a_strided_query_scores_as_its_contiguous_copy(self):
+        rng = np.random.default_rng(37)
+        scan = IndexScan(random_index(rng, 500, 37))
+        queries = rng.normal(size=(37, 5))
+        for column in range(queries.shape[1]):
+            strided, copied = ([(c.tag_id, c.score.hex())
+                                for c in top_k(query, scan, len(scan))]
+                               for query in (queries[:, column],
+                                             queries[:, column].copy()))
+            assert strided == copied
+
     def test_norms_by_block_equal_norms_of_whole_matrix(self):
         rng = np.random.default_rng(5)
-        n = 2 * IndexScan.NORM_BLOCK_ROWS + 37
+        n = 2 * IndexScan.BLOCK_ROWS + 37
         index = random_index(rng, n, 24)
         scan = IndexScan(index)
         whole = np.linalg.norm(index.vectors.astype(np.float64), axis=1)
