@@ -290,12 +290,19 @@ class RetryPolicy:
         # No attempt at all would fail every call without sending it.
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not (self.base_delay >= 0 and self.factor >= 0
-                and self.max_delay >= 0):  # NaN too
-            raise ValueError("base_delay, factor and max_delay must be >= 0")
+        if not all(0 <= value < math.inf for value in  # NaN too
+                   (self.base_delay, self.factor, self.max_delay)):
+            raise ValueError("base_delay, factor and max_delay must be "
+                             "finite and >= 0")
 
-    def delay(self, attempt: int) -> float:
-        return min(self.base_delay * self.factor ** attempt, self.max_delay)
+    def delay(self, attempt: int, retry_after: float = 0.0) -> float:
+        """The wait after failed attempt ``attempt`` (from 0) whose reply
+        asked for ``retry_after`` seconds."""
+        try:
+            backoff = self.base_delay * self.factor ** attempt
+        except OverflowError:  # the power passed every float, so factor > 1
+            backoff = math.inf if self.base_delay else 0.0
+        return min(max(backoff, retry_after), self.max_delay)
 
 
 class RateLimiter:
@@ -415,14 +422,6 @@ class FileBackedGenerator:
 _TRANSIENT_STATUS = {429, 500, 502, 503, 504}
 
 
-def _api_key(role: str) -> str | None:
-    return os.environ.get(f"TAGREC_{role.upper()}_API_KEY")
-
-
-def _base_url(role: str, configured: str) -> str:
-    return os.environ.get(f"TAGREC_{role.upper()}_BASE_URL", configured)
-
-
 def _retry_after_seconds(resp) -> float:
     """The wait a reply's ``Retry-After`` header asks for, in seconds, or 0.
 
@@ -433,32 +432,37 @@ def _retry_after_seconds(resp) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
-class _HttpClient:
-    """Shared POST-with-retries plumbing for the remote backends."""
+class _HttpBackend:
+    """A remote backend that POSTs JSON with retries, under its rate limiter.
 
-    def __init__(self, role: str, base_url: str, *, retry: RetryPolicy | None = None,
+    Each subclass sets its ``role``, which names it in ``backend_id`` and in
+    errors and picks ``TAGREC_<ROLE>_API_KEY`` and ``TAGREC_<ROLE>_BASE_URL``.
+    ``max_in_flight`` is the rate limiter's cap on calls in flight.
+    """
+
+    def __init__(self, model: str, base_url: str, *, retry: RetryPolicy | None = None,
                  limiter: RateLimiter | None = None, timeout: float = 60.0,
                  session=None, sleep=time.sleep):
         if not 0 < timeout < math.inf:  # NaN too
             raise ValueError("timeout must be finite and > 0")
-        self.role = role
-        self.base_url = _base_url(role, base_url).rstrip("/")
+        self.model = model
+        self.backend_id = f"http-{self.role}:{model}"
+        self.base_url = os.environ.get(f"TAGREC_{self.role.upper()}_BASE_URL",
+                                       base_url).rstrip("/")
         self.retry = retry or RetryPolicy()
         self.limiter = limiter or RateLimiter()
+        self.max_in_flight = self.limiter.max_in_flight
         self.timeout = timeout
         if session is None:
             # One pooled connection per call the limiter lets through, so
             # none is thrown away when more than urllib3's 10 are in flight.
             session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=max(self.limiter.max_in_flight,
+            adapter = HTTPAdapter(pool_maxsize=max(self.max_in_flight,
                                                    DEFAULT_POOLSIZE))
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self.session = session
         self._sleep = sleep
-
-    def post_json(self, path: str, body: dict) -> dict:
-        return self._json(self.post(path, body))
 
     def post(self, path: str, body: dict):
         """The first 200 reply to POSTing ``body``, its body read.
@@ -468,15 +472,14 @@ class _HttpClient:
         """
         url = f"{self.base_url}{path}"
         headers = {"Content-Type": "application/json"}
-        key = _api_key(self.role)
+        key = os.environ.get(f"TAGREC_{self.role.upper()}_API_KEY")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         last_error: Exception | None = None
         retry_after = 0.0
         for attempt in range(self.retry.max_attempts):
             if attempt > 0:
-                self._sleep(min(max(self.retry.delay(attempt - 1), retry_after),
-                                self.retry.max_delay))
+                self._sleep(self.retry.delay(attempt - 1, retry_after))
             retry_after = 0.0
             try:
                 with self.limiter:
@@ -510,15 +513,6 @@ class _HttpClient:
             raise BackendError(f"{self.role}: non-JSON response") from exc
 
 
-class _HttpBackend:
-    """A backend that sends its calls through one :class:`_HttpClient`."""
-
-    @property
-    def max_in_flight(self) -> int:
-        """The rate limiter's cap on calls in flight."""
-        return self._client.limiter.max_in_flight
-
-
 class _HttpChat(_HttpBackend):
     """A chat-completions backend: the request's prompt as the user message.
 
@@ -529,14 +523,12 @@ class _HttpChat(_HttpBackend):
     """
 
     def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
-                 system: str | None = None, **client_kwargs):
+                 system: str | None = None, **http_kwargs):
         if not math.isfinite(temperature):
             raise ValueError("temperature must be finite")
-        self.model = model
         self.temperature = temperature
         self.system = system
-        self._client = _HttpClient(self.role, base_url, **client_kwargs)
-        self.backend_id = f"http-{self.role}:{model}"
+        super().__init__(model, base_url, **http_kwargs)
 
     def request_of(self, request) -> BackendRequest:
         params = (("temperature", repr(self.temperature)),)
@@ -552,7 +544,7 @@ class _HttpChat(_HttpBackend):
         messages.append({"role": "user", "content": self._prompt(request)})
         body = {"model": self.model, "messages": messages,
                 "temperature": self.temperature}
-        doc = self._client.post_json("/chat/completions", body)
+        doc = self._json(self.post("/chat/completions", body))
         try:
             return doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -590,10 +582,7 @@ class HttpChatRanker(_HttpChat):
 class HttpEmbedder(_HttpBackend):
     """Embeds texts through an embeddings endpoint, input order preserved."""
 
-    def __init__(self, model: str, base_url: str, **client_kwargs):
-        self.model = model
-        self._client = _HttpClient("embedder", base_url, **client_kwargs)
-        self.backend_id = f"http-embedder:{model}"
+    role = "embedder"
 
     def request_of(self, texts: list[str]) -> BackendRequest:
         return BackendRequest(kind="embed", model_id=self.model,
@@ -603,8 +592,7 @@ class HttpEmbedder(_HttpBackend):
         return {"model": self.model, "input": list(texts)}
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return self._vectors(texts, self._client.post_json("/embeddings",
-                                                           self._body(texts)))
+        return self._vectors(texts, self.post("/embeddings", self._body(texts)))
 
     def embed_batches(self, batches: Iterable[list[str]]) -> Iterator[np.ndarray]:
         """Each batch's vectors in batch order, ``max_in_flight`` sent at once.
@@ -620,19 +608,18 @@ class HttpEmbedder(_HttpBackend):
         with ThreadPoolExecutor(self.max_in_flight,
                                 thread_name_prefix="tagrec-embed") as pool:
             for texts in batches:
-                pending.append((texts, pool.submit(self._client.post,
-                                                   "/embeddings",
+                pending.append((texts, pool.submit(self.post, "/embeddings",
                                                    self._body(texts))))
                 if len(pending) == self.max_in_flight:
-                    yield self._decode(*pending.popleft())
+                    sent, reply = pending.popleft()
+                    yield self._vectors(sent, reply.result())
             while pending:
-                yield self._decode(*pending.popleft())
+                sent, reply = pending.popleft()
+                yield self._vectors(sent, reply.result())
 
-    def _decode(self, texts: list[str], future) -> np.ndarray:
-        return self._vectors(texts, self._client._json(future.result()))
-
-    @staticmethod
-    def _vectors(texts: list[str], doc: dict) -> np.ndarray:
+    def _vectors(self, texts: list[str], resp) -> np.ndarray:
+        """The vectors of a 200 reply to embedding ``texts``, checked."""
+        doc = self._json(resp)
         try:
             vectors = [item["embedding"] for item in doc["data"]]
         except (KeyError, TypeError) as exc:

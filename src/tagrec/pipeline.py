@@ -64,7 +64,10 @@ class RunResult:
     traces: list[dict]
     skipped: list[dict]
     failed: list[dict]
-    fallback_count: int
+
+    @property
+    def fallback_count(self) -> int:
+        return sum(len(trace["fallback_events"]) for trace in self.traces)
 
     @property
     def counts(self) -> dict:
@@ -94,9 +97,8 @@ class RunResult:
 
 def _reranked(record: NumeralRecord, gen_doc: str, candidates: list,
               corpus_texts: dict[str, str], ranker: RankerBackend,
-              config: RerankConfig) -> tuple[str, dict, dict, None]:
-    """The outcome of a record with its candidates: (status, prediction,
-    trace, reason)."""
+              config: RerankConfig) -> tuple[dict, dict]:
+    """The prediction and trace of a record with its candidates."""
     record_cfg = replace(config, seed=derive_seed(config.seed, record.record_id))
     predicted, trace = rerank_record(
         gen_doc, candidates, corpus_texts, record_cfg, ranker,
@@ -110,7 +112,7 @@ def _reranked(record: NumeralRecord, gen_doc: str, candidates: list,
         "votes": dict(sorted(trace.tally.counts.items())),
         "gold_in_top_k": record.gold_tag_id in candidate_ids,
     }
-    return "ok", prediction, trace.to_dict(), None
+    return prediction, trace.to_dict()
 
 
 def run_records(
@@ -164,15 +166,15 @@ def run_records(
                                    generator)
                 candidates = retrieve(record, gen_doc, scan, embedder,
                                       config.top_k)
-                outcome = _reranked(record, gen_doc, candidates, corpus_texts,
-                                    ranker, config)
+                outcome = "ok", _reranked(record, gen_doc, candidates,
+                                          corpus_texts, ranker, config)
             except MissingGenerationError as exc:
-                outcome = "skipped", None, None, str(exc)
+                outcome = "skipped", str(exc)
             except ConfigError:
                 raise
             except Exception as exc:
-                outcome = "failed", None, None, str(exc)
-            done.append((record.record_id, outcome))
+                outcome = "failed", str(exc)
+            done.append((record.record_id, *outcome))
         return done
 
     workers = min(concurrency, len(records))
@@ -188,18 +190,16 @@ def run_records(
     traces: list[dict] = []
     skipped: list[dict] = []
     failed: list[dict] = []
-    fallback_count = 0
-    for record_id, (status, prediction, trace, reason) in sorted(outcomes):
+    for record_id, status, value in sorted(outcomes):
         if status == "ok":
+            prediction, trace = value
             predictions.append(prediction)
             traces.append(trace)
-            fallback_count += len(trace["fallback_events"])
-        elif status == "skipped":
-            skipped.append({"record_id": record_id, "reason": reason})
         else:
-            failed.append({"record_id": record_id, "reason": reason})
+            (skipped if status == "skipped" else failed).append(
+                {"record_id": record_id, "reason": value})
     return RunResult(predictions=predictions, traces=traces, skipped=skipped,
-                     failed=failed, fallback_count=fallback_count)
+                     failed=failed)
 
 
 def apply_axis(config: RerankConfig, axis: SweepAxis, value) -> RerankConfig:

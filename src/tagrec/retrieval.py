@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -182,9 +183,9 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
     batches = (texts[start:start + batch_size] for start in starts)
     overlapped = getattr(embedder, "embed_batches", None)
     results = (overlapped(batches) if overlapped
-               else map(embedder.embed_batch, batches))
+               else (embedder.embed_batch(texts) for texts in batches))
     vectors: np.ndarray | None = None
-    try:
+    with closing(results):
         for start in starts:
             n = min(batch_size, len(texts) - start)
             vecs = _embed(results.__next__, n,
@@ -197,9 +198,6 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
                     f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
                 )
             vectors[start:start + n] = vecs
-    finally:
-        if overlapped:
-            results.close()
     return VectorIndex(tag_ids=tuple(ids), vectors=vectors)
 
 

@@ -12,9 +12,9 @@ import pytest
 import requests
 
 from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
-    CachingRanker, FileBackedGenerator, GenerateRequest, HashEmbedder, \
-    HttpChatGenerator, HttpChatRanker, HttpEmbedder, RankRequest, \
-    RateLimiter, ResponseCache, RetryPolicy, generate
+    CachingGenerator, CachingRanker, FileBackedGenerator, GenerateRequest, \
+    HashEmbedder, HttpChatGenerator, HttpChatRanker, HttpEmbedder, \
+    RankRequest, RateLimiter, ResponseCache, RetryPolicy, generate
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import BackendError, CacheConflictError, CacheEntryError, \
     MissingGenerationError
@@ -369,6 +369,21 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, factor=1.0,
                          max_delay=0.0)
 
 
+HTTP_BACKENDS = [HttpChatGenerator, HttpChatRanker, HttpEmbedder]
+HTTP_REPLIES = {HttpChatGenerator: chat_payload("doc"),
+                HttpChatRanker: chat_payload("[1]"),
+                HttpEmbedder: {"data": [{"embedding": [1.0, 0.0]}]}}
+
+
+def call_once(backend):
+    """One call of the backend's own kind."""
+    if isinstance(backend, HttpChatGenerator):
+        return backend.generate(GenerateRequest(record_id="r", text="t"))
+    if isinstance(backend, HttpChatRanker):
+        return backend.rank_listwise(RankRequest(prompt="p"))
+    return backend.embed_batch(["t"])
+
+
 class TestHttpRanker:
     def test_happy_path_posts_chat_body(self):
         session = FakeSession([FakeResponse(200, chat_payload("[2] > [1]"))])
@@ -473,21 +488,25 @@ class TestHttpRanker:
             ranker.rank_listwise(RankRequest(prompt="p"))
         assert len(session.calls) == 1
 
-    def test_api_key_header_from_env(self, monkeypatch):
-        monkeypatch.setenv("TAGREC_RANKER_API_KEY", "sk-test")
-        session = FakeSession([FakeResponse(200, chat_payload("[1]"))])
-        ranker = HttpChatRanker("m1", "http://api.test/v1", session=session,
-                                retry=FAST_RETRY)
-        ranker.rank_listwise(RankRequest(prompt="p"))
+    @pytest.mark.parametrize("cls", HTTP_BACKENDS)
+    def test_api_key_header_from_env(self, monkeypatch, cls):
+        monkeypatch.setenv(f"TAGREC_{cls.role.upper()}_API_KEY", "sk-test")
+        session = FakeSession([FakeResponse(200, HTTP_REPLIES[cls])])
+        call_once(cls("m1", "http://api.test/v1", session=session,
+                      retry=FAST_RETRY))
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
 
-    def test_base_url_env_override(self, monkeypatch):
-        monkeypatch.setenv("TAGREC_RANKER_BASE_URL", "http://other.test/v2")
-        session = FakeSession([FakeResponse(200, chat_payload("[1]"))])
-        ranker = HttpChatRanker("m1", "http://api.test/v1", session=session,
-                                retry=FAST_RETRY)
-        ranker.rank_listwise(RankRequest(prompt="p"))
-        assert session.calls[0]["url"].startswith("http://other.test/v2")
+    @pytest.mark.parametrize("cls", HTTP_BACKENDS)
+    def test_base_url_env_override(self, monkeypatch, cls):
+        monkeypatch.setenv(f"TAGREC_{cls.role.upper()}_BASE_URL",
+                           "http://other.test/v2/")
+        session = FakeSession([FakeResponse(200, HTTP_REPLIES[cls])])
+        backend = cls("m1", "http://api.test/v1", session=session,
+                      retry=FAST_RETRY)
+        call_once(backend)
+        assert backend.backend_id == f"http-{cls.role}:m1"
+        assert session.calls[0]["url"].startswith("http://other.test/v2/")
+        assert "//" not in session.calls[0]["url"].removeprefix("http://")
 
     def test_malformed_response(self):
         session = FakeSession([FakeResponse(200, {"choices": []})])
@@ -502,12 +521,41 @@ class TestHttpRanker:
         ({"max_delay": -1.0}, "delay"),
         ({"max_delay": float("nan")}, "delay"),
         ({"factor": float("nan")}, "factor"),
+        ({"factor": float("inf")}, "finite"),
+        ({"base_delay": float("inf")}, "finite"),
+        ({"base_delay": float("inf"), "max_delay": float("inf")}, "finite"),
+        ({"max_delay": float("inf")}, "finite"),
     ])
     def test_retry_policy_rejects_no_attempts_and_bad_delays(self, kwargs,
                                                              message):
         # With no attempt, every call would fail without being sent.
         with pytest.raises(ValueError, match=message):
             RetryPolicy(**kwargs)
+
+    def test_a_thousand_attempts_end_in_giving_up(self):
+        """Past 1,024 attempts ``factor ** attempt`` overflows a float."""
+        attempts = 1100
+        session = FakeSession([requests.ConnectionError("refused")] * attempts)
+        sleeps = []
+        ranker = HttpChatRanker(
+            "m1", "http://api.test/v1", session=session, sleep=sleeps.append,
+            retry=RetryPolicy(max_attempts=attempts, base_delay=0.0,
+                              max_delay=0.0))
+        with pytest.raises(BackendError, match=f"giving up after {attempts} "
+                                               "attempts: refused"):
+            ranker.rank_listwise(RankRequest(prompt="p"))
+        assert len(session.calls) == attempts
+        assert sleeps == [0.0] * (attempts - 1)
+
+    @pytest.mark.parametrize("policy, want", [
+        (RetryPolicy(max_attempts=2000, base_delay=0.0), 0.0),
+        (RetryPolicy(max_attempts=2000, base_delay=0.5), 8.0),
+        (RetryPolicy(max_attempts=2000, base_delay=0.5, factor=0.5), 0.0),
+    ])
+    def test_a_late_attempt_waits_without_overflow(self, policy, want):
+        assert policy.delay(policy.max_attempts - 1) == want
+        assert policy.delay(policy.max_attempts - 1, retry_after=3.0) == \
+            max(want, 3.0)
 
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
     def test_timeout_must_be_positive(self, timeout):
@@ -1039,8 +1087,6 @@ class CountingGenerator:
 
 class TestCachingGenerator:
     def test_cached_response_identical_and_no_backend_call(self, tmp_path):
-        from tagrec.backends import CachingGenerator
-
         cache = ResponseCache(tmp_path / "cache")
         first_inner = CountingGenerator()
         first = CachingGenerator(first_inner, cache)
@@ -1109,13 +1155,16 @@ class TestInFlightCap:
                                                  "1 to 64"):
                 RateLimiter(max_in_flight=cap)
 
-    def test_http_ranker_exposes_its_limiter_cap(self, tmp_path):
-        ranker = HttpChatRanker("m", "http://x", session=FakeSession([]),
-                                limiter=RateLimiter(max_in_flight=7))
-        assert ranker.max_in_flight == 7
-        assert HttpChatRanker("m", "http://x",
-                              session=FakeSession([])).max_in_flight == 4
-        cached = CachingRanker(ranker, ResponseCache(tmp_path / "cache"))
+    @pytest.mark.parametrize("cls, caching", [
+        (HttpChatRanker, CachingRanker), (HttpChatGenerator, CachingGenerator),
+    ])
+    def test_http_chat_backend_exposes_its_limiter_cap(self, tmp_path, cls,
+                                                       caching):
+        backend = cls("m", "http://x", session=FakeSession([]),
+                      limiter=RateLimiter(max_in_flight=7))
+        assert backend.max_in_flight == 7
+        assert cls("m", "http://x", session=FakeSession([])).max_in_flight == 4
+        cached = caching(backend, ResponseCache(tmp_path / "cache"))
         assert cached.max_in_flight == 7
 
     def test_http_embedder_exposes_its_limiter_cap(self, tmp_path):
@@ -1140,7 +1189,7 @@ class TestInFlightCap:
                                                                pool_size):
         ranker = HttpChatRanker("m", "https://x",
                                 limiter=RateLimiter(max_in_flight=cap))
-        session = ranker._client.session
+        session = ranker.session
         for url in ("http://x/v1", "https://x/v1"):
             assert session.get_adapter(url)._pool_maxsize == pool_size
 

@@ -797,6 +797,9 @@ class TestMalformedBackendSpecs:
 
     @pytest.mark.parametrize("setting, message", [
         ({"retry": {"max_attempts": 0}}, "max_attempts"),
+        ({"retry": {"max_attempts": 3, "base_delay": 0,
+                    "factor": math.inf}}, "finite"),
+        ({"retry": {"base_delay": math.inf, "max_delay": math.inf}}, "finite"),
         ({"timeout": 0}, "timeout"),
         ({"timeout": "nan"}, "timeout"),
         ({"timeout": math.inf}, "timeout"),
@@ -1065,8 +1068,7 @@ class TestBackendSpecs:
         }, seed=0)
         assert ranker.backend_id == "http-ranker:m"
         assert ranker.temperature == 0.5
-        assert ranker._client.retry == be.RetryPolicy(max_attempts=2,
-                                                      base_delay=0.1)
+        assert ranker.retry == be.RetryPolicy(max_attempts=2, base_delay=0.1)
 
     @pytest.mark.parametrize("role, obj, string, options", [
         ("embedder", {"kind": "hash", "dim": 64}, "hash:64", lambda e: e.dim),
