@@ -259,6 +259,10 @@ class GeneratorBackend(Protocol):
 
 
 class RankerBackend(Protocol):
+    """A listwise ranker.  One that declares a ``max_in_flight`` cap holds
+    it itself, as the http ranker's rate limiter does: a run works on twice
+    that many records and adds no gate of its own."""
+
     backend_id: str
 
     def rank_listwise(self, request: RankRequest) -> str: ...
@@ -437,7 +441,8 @@ class _HttpBackend:
 
     Each subclass sets its ``role``, which names it in ``backend_id`` and in
     errors and picks ``TAGREC_<ROLE>_API_KEY`` and ``TAGREC_<ROLE>_BASE_URL``.
-    ``max_in_flight`` is the rate limiter's cap on calls in flight.
+    ``max_in_flight`` is the rate limiter's cap on calls in flight, which
+    :meth:`post` holds itself.
     """
 
     def __init__(self, model: str, base_url: str, *, retry: RetryPolicy | None = None,

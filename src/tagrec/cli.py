@@ -22,7 +22,8 @@ from .corpus import _iter_jsonl, _require_str, load_dataset, load_taxonomy
 from .errors import ConfigError, TagRecError
 from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
     evaluate_predictions, render_table
-from .pipeline import apply_axis, jsonl_line, run_records, run_sweep
+from .pipeline import MAX_CONCURRENCY, _check_concurrency, apply_axis, \
+    jsonl_line, run_records, run_sweep
 from .prompting import default_instruction, default_rerank_template
 from .rerank import Ordering, RerankConfig, VoteMode
 from .retrieval import VectorIndex, build_index
@@ -47,9 +48,11 @@ SETTINGS = {
     "embedder": ("hash", BACKEND, "embedder backend spec"),
     "ranker": (None, BACKEND, "ranker backend spec"),
     "instruction_path": (None, str, "generation instruction template file"),
-    "concurrency": (None, int, "records worked on at a time (default: the "
-                    "ranker's rate_limit.max_in_flight, or 1 for an "
-                    "in-process ranker)"),
+    "concurrency": (None, int, "records worked on at a time, from 1 to "
+                    f"{MAX_CONCURRENCY} (default: twice the ranker's "
+                    "rate_limit.max_in_flight, or 1 for an in-process "
+                    "ranker; the ranker's limiter holds its calls at that "
+                    "cap, and a record's calls are made one after another)"),
     # The re-rank settings default to RerankConfig's own defaults.
     "top_k": (RerankConfig.top_k, int, "retrieval depth"),
     "group_size": (RerankConfig.group_size, int, "re-ranking group size"),
@@ -105,6 +108,19 @@ def _nameable(path: str) -> bool:
         return False
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as integer setting ``key``: an int, or the decimal string
+    of one, as a flag gives it.  A bool or a float is a ValueError, so a
+    fraction is never cut off."""
+    if isinstance(value, str) or (isinstance(value, int)
+                                  and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _convert(key: str, value):
     """``value`` as setting ``key`` holds it, or a ConfigError naming it."""
     default, kind, _ = SETTINGS[key]
@@ -118,9 +134,12 @@ def _convert(key: str, value):
                               f"{[e.value for e in kind]}, got {value!r}") from None
     if kind is int:
         try:
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+            value = _integer(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if key == "concurrency":  # checked before any work, not at the run
+            _check_concurrency(value)
+        return value
     if kind is str and isinstance(value, str) and not _nameable(value):
         raise ConfigError(f"{key} must be a path with no NUL character or "
                           f"lone surrogate, got {value!r}")
@@ -207,14 +226,16 @@ def _write_json(path, doc) -> None:
 def _options(doc, types: dict, what: str) -> dict:
     """The keys ``doc`` gives, each converted by ``types``; no other keys.
 
-    A key left out stays out, so the backend's own default applies.
+    A key left out stays out, so the backend's own default applies.  An
+    ``int`` key converts as every integer setting does (:func:`_integer`).
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{what} must be an object, got {doc!r}")
     unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-    return {key: types[key](value) for key, value in doc.items()}
+    return {key: _integer(key, value) if types[key] is int else
+            types[key](value) for key, value in doc.items()}
 
 
 def _as_given(value):

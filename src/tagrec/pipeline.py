@@ -6,20 +6,23 @@ taxonomy documents, and run the tournament re-ranking to pick the final tag.
 Records are independent, so a worker pool may process them concurrently;
 every record re-ranks with a seed derived from (run seed, record_id), so
 results do not depend on worker scheduling, and outputs are ordered by
-record_id regardless of completion order.  By default a run works on as
-many records at a time as the ranker lets calls be in flight
-(``max_in_flight``, which remote rankers take from their rate limiter), so
-a remote ranker is kept busy up to its cap; a ranker without a cap, such as
-an in-process oracle, gets one record at a time.  A record's own ranker
-calls are made one after another.
+record_id regardless of completion order.  By default a run works on
+twice as many records at a time as the ranker lets calls be in flight
+(``max_in_flight``, which remote rankers take from their rate limiter and
+hold there): while one record generates, embeds its query or counts its
+votes, another already waits at the ranker's limiter for the slot it
+freed, so the calls in flight stay at the cap.  A ranker without a cap,
+such as an in-process oracle, gets one record at a time.  A record's own
+ranker calls are made one after another, on its own thread.
 
 Each record is generated, retrieved and re-ranked on one thread, the
 caller's or a record worker's, which takes records from a shared queue
 until none is left.  A worker stops at the first :class:`ConfigError`, so
-an embedder of the wrong width is asked once per worker before the run
-fails.  Retrieval scores only the query's nonzero dimensions (see
-:mod:`tagrec.retrieval`), which for hash-bag queries costs about a tenth
-of a millisecond at 5,000 tags, so it needs no thread of its own.
+an embedder of the wrong width is asked once per worker (up to twice the
+ranker's cap by default) before the run fails.  Retrieval scores only the
+query's nonzero dimensions (see :mod:`tagrec.retrieval`), which for
+hash-bag queries costs about a tenth of a millisecond at 5,000 tags, so it
+needs no thread of its own.
 
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
@@ -35,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .backends import GeneratorBackend, RankerBackend, generate
+from .backends import GeneratorBackend, RankerBackend, RateLimiter, generate
 from .corpus import NumeralRecord, TaxonomyCorpus
 from .errors import ConfigError, MissingGenerationError
 from .evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
@@ -45,12 +48,25 @@ from .rerank import RerankConfig, derive_seed, rerank_record
 from .retrieval import EmbedderBackend, IndexScan, VectorIndex, retrieve
 
 __all__ = [
+    "MAX_CONCURRENCY",
     "RunResult",
     "run_records",
     "apply_axis",
     "run_sweep",
     "jsonl_line",
 ]
+
+
+# The largest record count a run takes: the default for a ranker at the
+# largest cap a rate limiter allows.  Each record in flight has a thread.
+MAX_CONCURRENCY = 2 * RateLimiter.MAX_IN_FLIGHT
+
+
+def _check_concurrency(concurrency) -> None:
+    """A ConfigError unless ``concurrency`` records may be in flight."""
+    if not 1 <= concurrency <= MAX_CONCURRENCY:
+        raise ConfigError(f"concurrency must be from 1 to {MAX_CONCURRENCY}, "
+                          f"got {concurrency}")
 
 
 def jsonl_line(obj: dict) -> str:
@@ -129,23 +145,26 @@ def run_records(
 ) -> RunResult:
     """Run the full pipeline over a dataset.
 
-    ``concurrency`` is the number of records worked on at a time; ``None``
-    takes the ranker's ``max_in_flight``, or 1 for a ranker without one.
+    ``concurrency`` is the number of records worked on at a time, from 1
+    to :data:`MAX_CONCURRENCY`; ``None`` takes twice the ranker's
+    ``max_in_flight``, or 1 for a ranker without one.  The ranker's own
+    limiter holds its calls in flight at that cap, and each record's calls
+    are made one after another.
     A plain index is prepared for scanning (see :mod:`tagrec.retrieval`);
     the worker pool and the scan are made once per call and dropped before
     the call returns or raises.  Pass an :class:`IndexScan` in place of the
     index to share one preparation across calls, as :func:`run_sweep` does.
     """
     if concurrency is None:
-        concurrency = getattr(ranker, "max_in_flight", None) or 1
+        cap = getattr(ranker, "max_in_flight", None)
+        concurrency = min(2 * cap, MAX_CONCURRENCY) if cap else 1
     if config.top_k > len(index):
         raise ConfigError(
             f"top_k={config.top_k} exceeds the index size {len(index)}"
         )
     if tuple(index.tag_ids) != tuple(d.tag_id for d in corpus.docs):
         raise ConfigError("index tag_ids do not match the taxonomy")
-    if concurrency < 1:
-        raise ConfigError("concurrency must be >= 1")
+    _check_concurrency(concurrency)
 
     corpus_texts = corpus.texts()
     scan = index if isinstance(index, IndexScan) else IndexScan(index)

@@ -11,9 +11,9 @@ import time
 import pytest
 
 from tagrec.backends import FileBackedGenerator, HashEmbedder
-from tagrec.cli import _backends, _build, build_parser, main
+from tagrec.cli import _backends, _build, _convert, build_parser, main
 from tagrec.corpus import load_dataset, load_taxonomy
-from tagrec.errors import BackendError
+from tagrec.errors import BackendError, ConfigError
 from tagrec.evaluation import SweepAxis
 from tagrec.pipeline import run_sweep
 from tagrec.prompting import default_instruction
@@ -373,6 +373,11 @@ class TestRun:
         ("iterations", None, "iterations must be an integer, got None"),
         ("top_k", [3], "top_k must be an integer, got [3]"),
         ("concurrency", "x", "concurrency must be an integer, got 'x'"),
+        # a bool or a float is no integer: plain int() cut each of these
+        ("iterations", 8.9, "iterations must be an integer, got 8.9"),
+        ("seed", -0.5, "seed must be an integer, got -0.5"),
+        ("top_k", True, "top_k must be an integer, got True"),
+        ("concurrency", 1e300, "concurrency must be an integer, got 1e+300"),
         ("ordering", "sideways", "ordering must be one of "
                                  "['order-preserving', 'order-shuffled']"),
         ("predictions_out", None, "predictions_out must be a string"),
@@ -400,6 +405,29 @@ class TestRun:
         assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
                        "--ranker", "perfect", "--top-k", "ten") == 2
         assert "top_k must be an integer, got 'ten'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("concurrency", ["0", "129"])
+    def test_a_concurrency_out_of_range_exits_2_before_any_work(
+            self, workspace, capsys, concurrency):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("run", "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--ranker", "perfect", "--index", tmp / "x.idx",
+                       "--concurrency", concurrency) == 2
+        assert (f"error: concurrency must be from 1 to 128, got {concurrency}"
+                in capsys.readouterr().err)
+        assert not (tmp / "x.idx").exists()
+
+    @pytest.mark.parametrize("value", [10**6, "1000000", 10**300])
+    def test_a_huge_concurrency_is_rejected_by_the_converter(self, value):
+        with pytest.raises(ConfigError, match="^concurrency must be from 1 "
+                                              "to 128, got 1000"):
+            _convert("concurrency", value)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("concurrency", "128", 128), ("top_k", 7, 7), ("seed", "-3", -3)])
+    def test_integers_and_their_decimal_strings_convert(self, key, value,
+                                                        expected):
+        assert _convert(key, value) == expected
 
     def test_null_where_the_default_is_null(self, workspace):
         tmp, taxonomy, dataset = workspace
@@ -789,6 +817,9 @@ class TestMalformedBackendSpecs:
         ("embedder", {"kind": "hash", "dims": 64}),
         ("embedder", {**HTTP_EMBEDDER, "temperature": 0.0}),
         ("generator", {"kind": "file", "path": "x"}),
+        ("embedder", {"kind": "hash", "dim": 64.0}),
+        ("ranker", {**HTTP_RANKER, "rate_limit": {"max_in_flight": 4.7}}),
+        ("ranker", {**HTTP_RANKER, "retry": {"max_attempts": True}}),
     ])
     def test_bad_spec_value_exits_2(self, workspace, capsys, role, spec):
         assert self._run(workspace, **{role: spec}) == 2
@@ -1106,6 +1137,17 @@ class TestBackendSpecs:
         with pytest.raises(ConfigError, match="^backend spec .*max_in_flight "
                                               "must be from 1 to 64, got 65$"):
             _build(role, {**spec, "rate_limit": {"max_in_flight": 65}})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**HTTP_RANKER, "rate_limit": {"max_in_flight": 4.7}},
+         "max_in_flight must be an integer, got 4.7"),
+        ({**HTTP_RANKER, "retry": {"max_attempts": 2.0}},
+         "max_attempts must be an integer, got 2.0"),
+    ])
+    def test_integer_keys_of_a_spec_take_no_bool_or_float(self, spec,
+                                                          message):
+        with pytest.raises(ConfigError, match=f"^backend spec .*: {message}$"):
+            _build("ranker", spec)
 
     def test_cache_wraps_every_backend_that_builds_keys(self, tmp_path):
         from tagrec import backends as be

@@ -1,4 +1,4 @@
-"""Records worked on concurrently, up to the ranker's cap on calls in flight.
+"""Records worked on concurrently, twice the ranker's cap on calls in flight.
 
 Every test compares with, or constrains, the one-record-at-a-time run: the
 predictions and traces of a run must not depend on how many records are in
@@ -7,6 +7,7 @@ flight or on the order their replies arrive in.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -18,9 +19,9 @@ from dataclasses import replace
 import pytest
 
 from tagrec.backends import BackendRequest, CachingRanker, \
-    FileBackedGenerator, HashEmbedder, RankRequest, ResponseCache
+    FileBackedGenerator, HashEmbedder, RankRequest, RateLimiter, ResponseCache
 from tagrec.errors import BackendError, ConfigError
-from tagrec.pipeline import jsonl_line, run_records
+from tagrec.pipeline import MAX_CONCURRENCY, jsonl_line, run_records
 from tagrec.rerank import Ordering, RerankConfig, VoteMode
 from tagrec.retrieval import build_index
 
@@ -36,15 +37,20 @@ class ScrambledRanker:
 
     Each call sleeps less than the call started before it, so with several
     calls in flight the replies complete out of the order they were sent.
-    About one prompt in seven gets an unparseable reply.  ``max_in_flight``
-    and the in-flight bookkeeping let tests check the cap and repeats.
+    About one prompt in seven gets an unparseable reply.  A ranker given a
+    ``max_in_flight`` holds it with a rate limiter, as an http ranker does;
+    ``full`` is set once that many calls are in flight.  The in-flight
+    bookkeeping lets tests check the cap and repeats.
     """
 
     backend_id = "scrambled"
 
     def __init__(self, max_in_flight=None, delay_ms=3.0):
+        self.limiter = contextlib.nullcontext()
         if max_in_flight is not None:
             self.max_in_flight = max_in_flight
+            self.limiter = RateLimiter(max_in_flight)
+        self.full = threading.Event()
         self.delay_ms = delay_ms
         self._lock = threading.Lock()
         self._started = itertools.count()
@@ -59,17 +65,20 @@ class ScrambledRanker:
                               model_id=self.backend_id)
 
     def rank_listwise(self, request):
-        with self._lock:
-            n = next(self._started)
-            self.calls += 1
-            if request.prompt in self.active:
-                self.overlapping_repeats += 1
-            self.active.append(request.prompt)
-            self.peak = max(self.peak, len(self.active))
-        time.sleep(max(0.0, self.delay_ms - (n % 4)) / 1000.0)
-        with self._lock:
-            self.active.remove(request.prompt)
-            self.completed.append(n)
+        with self.limiter:
+            with self._lock:
+                n = next(self._started)
+                self.calls += 1
+                if request.prompt in self.active:
+                    self.overlapping_repeats += 1
+                self.active.append(request.prompt)
+                self.peak = max(self.peak, len(self.active))
+                if len(self.active) == getattr(self, "max_in_flight", None):
+                    self.full.set()
+            time.sleep(max(0.0, self.delay_ms - (n % 4)) / 1000.0)
+            with self._lock:
+                self.active.remove(request.prompt)
+                self.completed.append(n)
         digest = _digest(request.prompt)
         if digest[0] % 7 == 0:
             return "no ranking today"
@@ -158,10 +167,60 @@ class TestOutputsDoNotDependOnScheduling:
 
 
 class TestCap:
-    def test_the_ranker_cap_sets_the_default_worker_count(self, parts):
+    @pytest.mark.parametrize("n_records", [4, 10])
+    def test_twice_the_ranker_cap_of_records_are_in_flight(self, parts,
+                                                           n_records):
+        """The default: ``min(2n, len(records))`` records at once, and the
+        ranker's own limiter holds its calls in flight at ``n``."""
+        corpus, index, _ = parts
+        in_flight = min(2 * 3, n_records)
+        embedder = WatchedEmbedder(together=in_flight)
         ranker = ScrambledRanker(max_in_flight=3)
-        _run(parts, ranker)
+        result = _run((corpus, index, embedder), ranker,
+                      records=make_records(n_records))
+        assert result.failed == []
+        assert len(set(embedder.threads)) == in_flight
         assert ranker.peak == 3
+
+    def test_records_past_the_cap_fill_its_slots(self, parts):
+        """While the first ``n`` records wait for their query embeddings,
+        the next ``n`` keep all ``n`` of the ranker's slots busy."""
+        corpus, index, _ = parts
+        ranker = ScrambledRanker(max_in_flight=3, delay_ms=6.0)
+        embedder = WatchedEmbedder(held_until=ranker.full, held=3)
+        records = make_records(10)
+        results = []
+        worker = threading.Thread(target=lambda: results.append(_run(
+            (corpus, index, embedder), ranker, records=records)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert embedder.released == [True] * 3
+        assert _lines(results[0]) == _lines(_run(parts, ScrambledRanker(),
+                                                 records=records))
+        assert _run_threads() == []
+
+    def test_a_cap_past_the_limiters_bound_runs_the_most_records(self, parts):
+        class WideRanker(ChangingRanker):
+            max_in_flight = 100
+
+        corpus, index, _ = parts
+        embedder = WatchedEmbedder(together=10)
+        result = _run((corpus, index, embedder), WideRanker(),
+                      records=make_records(10))
+        assert len(result.predictions) == 10
+        assert len(set(embedder.threads)) == 10
+
+    @pytest.mark.parametrize("concurrency", [0, MAX_CONCURRENCY + 1, 10**6,
+                                             1e300])
+    def test_a_concurrency_out_of_range_starts_no_thread(self, parts,
+                                                         concurrency):
+        ranker = ScrambledRanker(max_in_flight=4)
+        with pytest.raises(ConfigError, match=f"^concurrency must be from 1 "
+                                              f"to {MAX_CONCURRENCY}, got"):
+            _run(parts, ranker, concurrency=concurrency)
+        assert ranker.calls == 0
+        assert _run_threads() == []
 
     @pytest.mark.parametrize("concurrency", [1, 2])
     def test_an_explicit_concurrency_wins(self, parts, concurrency):
@@ -241,16 +300,27 @@ class TestRepeatsBehindACache:
 
 class WatchedEmbedder(HashEmbedder):
     """Notes the thread of every query; the first ``together`` queries
-    wait until all of them are in flight."""
+    wait until all of them are in flight.  With ``held_until``, the first
+    ``held`` queries instead wait up to 10 s for that event, and
+    ``released`` notes whether it came."""
 
-    def __init__(self, dim=64, together=1):
+    def __init__(self, dim=64, together=1, held_until=None, held=0):
         super().__init__(dim=dim)
         self.threads: list[str] = []
         self.barrier = threading.Barrier(together, timeout=10)
+        self.held_until = held_until
+        self.held = held
+        self.released: list[bool] = []
+        self._lock = threading.Lock()
 
     def embed_batch(self, texts):
-        self.threads.append(threading.current_thread().name)
-        if len(self.threads) <= self.barrier.parties:
+        with self._lock:
+            self.threads.append(threading.current_thread().name)
+            first = len(self.threads)
+        if self.held_until is not None:
+            if first <= self.held:
+                self.released.append(self.held_until.wait(timeout=10))
+        elif first <= self.barrier.parties:
             self.barrier.wait()
         return super().embed_batch(texts)
 
@@ -258,9 +328,9 @@ class WatchedEmbedder(HashEmbedder):
 class TestRecordThreads:
     def test_the_workers_first_queries_are_embedded_at_once(self, parts):
         """Each worker retrieves on its own thread, so an http embedder
-        gets the three workers' first queries together."""
+        gets the six workers' first queries together."""
         corpus, index, _ = parts
-        embedder = WatchedEmbedder(together=3)
+        embedder = WatchedEmbedder(together=6)
         records = make_records(6)
         result = _run((corpus, index, embedder),
                       ScrambledRanker(max_in_flight=3), records=records)
