@@ -49,7 +49,7 @@ import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .errors import BackendError, CacheConflictError, CacheEntryError, \
-    MissingGenerationError
+    MissingGenerationError, integer
 
 __all__ = [
     "BackendRequest",
@@ -292,8 +292,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         # No attempt at all would fail every call without sending it.
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        integer("max_attempts", self.max_attempts, 1)
         if not all(0 <= value < math.inf for value in  # NaN too
                    (self.base_delay, self.factor, self.max_delay)):
             raise ValueError("base_delay, factor and max_delay must be "
@@ -317,12 +316,10 @@ class RateLimiter:
     MAX_IN_FLIGHT = 64
 
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
-        if not 1 <= max_in_flight <= self.MAX_IN_FLIGHT:
-            raise ValueError(f"max_in_flight must be from 1 to "
-                             f"{self.MAX_IN_FLIGHT}, got {max_in_flight}")
+        self.max_in_flight = integer("max_in_flight", max_in_flight, 1,
+                                     self.MAX_IN_FLIGHT)
         if not 0.0 <= min_interval < math.inf:  # NaN too
             raise ValueError("min_interval must be finite and >= 0")
-        self.max_in_flight = max_in_flight
         self._sem = threading.Semaphore(max_in_flight)
         self._min_interval = min_interval
         self._lock = threading.Lock()
@@ -365,9 +362,7 @@ class HashEmbedder:
     """
 
     def __init__(self, dim: int = 256):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        self.dim = dim
+        self.dim = integer("dim", dim, 1)
         self.backend_id = f"hash-embedder:dim={dim}"
 
     def _bucket(self, token: str) -> int:
@@ -529,9 +524,9 @@ class _HttpChat(_HttpBackend):
 
     def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
                  system: str | None = None, **http_kwargs):
-        if not math.isfinite(temperature):
-            raise ValueError("temperature must be finite")
-        self.temperature = temperature
+        if isinstance(temperature, bool) or not math.isfinite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature!r}")
+        self.temperature = float(temperature)  # 1 sends and keys as 1.0
         self.system = system
         super().__init__(model, base_url, **http_kwargs)
 

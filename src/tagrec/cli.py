@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import backends as be
 from .corpus import _iter_jsonl, _require_str, load_dataset, load_taxonomy
-from .errors import ConfigError, TagRecError
+from .errors import ConfigError, TagRecError, integer
 from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
     evaluate_predictions, render_table
 from .pipeline import MAX_CONCURRENCY, _check_concurrency, apply_axis, \
@@ -109,16 +109,15 @@ def _nameable(path: str) -> bool:
 
 
 def _integer(key: str, value) -> int:
-    """``value`` as integer setting ``key``: an int, or the decimal string
-    of one, as a flag gives it.  A bool or a float is a ValueError, so a
-    fraction is never cut off."""
-    if isinstance(value, str) or (isinstance(value, int)
-                                  and not isinstance(value, bool)):
+    """``value`` as integer setting ``key``: a flag's decimal string is
+    parsed, and any other value is checked by :func:`integer`, which
+    refuses a bool or a float, so a fraction is never cut off."""
+    if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    return integer(key, value)
 
 
 def _convert(key: str, value):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and integer setting check shared across the package."""
 
 
 class TagRecError(Exception):
@@ -31,3 +31,16 @@ class CacheEntryError(TagRecError):
 
 class ConfigError(TagRecError):
     """Invalid run configuration (bad paths, inconsistent parameters)."""
+
+
+def integer(name: str, value, low: int | None = None,
+            high: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, from ``low`` to ``high`` where
+    given; otherwise a ValueError naming setting ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be from {low} to {high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value

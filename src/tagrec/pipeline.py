@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .backends import GeneratorBackend, RankerBackend, RateLimiter, generate
 from .corpus import NumeralRecord, TaxonomyCorpus
-from .errors import ConfigError, MissingGenerationError
+from .errors import ConfigError, MissingGenerationError, integer
 from .evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
     evaluate_predictions
 from .prompting import assemble_generation_input
@@ -64,9 +64,10 @@ MAX_CONCURRENCY = 2 * RateLimiter.MAX_IN_FLIGHT
 
 def _check_concurrency(concurrency) -> None:
     """A ConfigError unless ``concurrency`` records may be in flight."""
-    if not 1 <= concurrency <= MAX_CONCURRENCY:
-        raise ConfigError(f"concurrency must be from 1 to {MAX_CONCURRENCY}, "
-                          f"got {concurrency}")
+    try:
+        integer("concurrency", concurrency, 1, MAX_CONCURRENCY)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def jsonl_line(obj: dict) -> str:
@@ -224,11 +225,14 @@ def run_records(
 def apply_axis(config: RerankConfig, axis: SweepAxis, value) -> RerankConfig:
     """Override the single swept field on an otherwise fixed configuration.
 
-    ``value`` is converted to the type of that field, so ``"4"`` sweeps
-    like ``4`` and ``"order-shuffled"`` like ``Ordering.ORDER_SHUFFLED``.
+    A string ``value`` is parsed as the field's type, so ``"4"`` sweeps
+    like ``4`` and ``"order-shuffled"`` like ``Ordering.ORDER_SHUFFLED``;
+    any other value goes to :class:`RerankConfig` as it is, to be checked.
     """
     field = axis.value.replace("-", "_")
-    return replace(config, **{field: type(getattr(config, field))(value)})
+    if isinstance(value, str):
+        value = type(getattr(config, field))(value)
+    return replace(config, **{field: value})
 
 
 def run_sweep(

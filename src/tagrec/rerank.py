@@ -37,7 +37,7 @@ import numpy as np
 
 from .backends import RankerBackend, RankRequest
 from .corpus import TagDocument
-from .errors import UnparseableReplyError
+from .errors import UnparseableReplyError, integer
 from .prompting import build_rerank_prompt, parse_ranking_reply
 from .retrieval import Candidate
 
@@ -80,16 +80,16 @@ class RerankConfig:
     vote_mode: VoteMode = VoteMode.PER_GROUP
 
     def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        for name in ("group_size", "iterations", "top_k"):
+            integer(name, getattr(self, name), 1)
+        integer("seed", self.seed, 0)
         if self.group_size > self.top_k:
             raise ValueError("group_size must not exceed top_k")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, kind in (("ordering", Ordering), ("vote_mode", VoteMode)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be one of "
+                                 f"{[e.value for e in kind]}, got {value!r}")
 
 
 def derive_seed(*parts) -> int:
@@ -165,8 +165,7 @@ def partition_into_groups(
     ``ORDER_PRESERVING`` each group is then sorted by retrieval rank
     ascending; under ``ORDER_SHUFFLED`` the random draw order stands.
     """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+    integer("group_size", group_size, 1)
     if not candidates:
         raise ValueError("candidates must be non-empty")
     shuffled = [candidates[i] for i in rng.permutation(len(candidates)).tolist()]

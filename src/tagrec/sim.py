@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import BackendRequest, RankRequest
-from .errors import BackendError
+from .errors import BackendError, integer
 from .rerank import RerankConfig, derive_seed, rerank_record
 from .retrieval import Candidate
 
@@ -60,9 +60,12 @@ class OracleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        integer("seed", self.seed, 0)
         if self.kind is OracleKind.NOISY:
-            if self.error_rate is None or not 0.0 <= self.error_rate <= 1.0:
+            rate = self.error_rate
+            if isinstance(rate, (bool, type(None))) or not 0.0 <= rate <= 1.0:
                 raise ValueError("noisy oracle requires error_rate in [0, 1]")
+            object.__setattr__(self, "error_rate", float(rate))  # 1 as 1.0
         elif self.error_rate is not None:
             raise ValueError("error_rate is only valid for the noisy oracle")
 
@@ -164,8 +167,7 @@ def synthetic_candidates(top_k: int, gold_rank: int) -> tuple[list[Candidate], d
     Returns (candidates, tag texts, gold_tag_id).  Scores decrease linearly
     with rank; texts are distinct so lexical ranking stays well-defined.
     """
-    if not 1 <= gold_rank <= top_k:
-        raise ValueError("gold_rank must be within 1..top_k")
+    integer("gold_rank", gold_rank, 1, top_k)
     candidates = [
         Candidate(tag_id=f"syn{i:03d}", score=1.0 - (i - 1) / top_k,
                   retrieval_rank=i)
@@ -200,8 +202,7 @@ def recovery_experiment(
     weight per rank) skews the prior, e.g. :func:`retrieval_like_weights`
     for ordering-strategy experiments.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    integer("n_trials", n_trials, 1)
     probs = None
     if gold_rank_weights is not None:
         w = np.asarray(gold_rank_weights, dtype=np.float64)

@@ -557,6 +557,21 @@ class TestHttpRanker:
         assert policy.delay(policy.max_attempts - 1, retry_after=3.0) == \
             max(want, 3.0)
 
+    def test_a_bool_temperature_is_refused(self):
+        with pytest.raises(ValueError, match="^temperature must be finite, "
+                                             "got True$"):
+            HttpChatRanker("m1", "http://api.test/v1", session=FakeSession([]),
+                           temperature=True)
+
+    def test_an_integer_temperature_keys_and_sends_as_a_float(self):
+        session = FakeSession([FakeResponse(200, chat_payload("[1]"))])
+        ranker = HttpChatRanker("m1", "http://api.test/v1", session=session,
+                                temperature=1)
+        request = RankRequest(prompt="p")
+        assert ranker.request_of(request).params == (("temperature", "1.0"),)
+        ranker.rank_listwise(request)
+        assert repr(session.calls[0]["json"]["temperature"]) == "1.0"
+
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
     def test_timeout_must_be_positive(self, timeout):
         # requests rejects a zero timeout on every call, so no call could
@@ -1143,6 +1158,18 @@ class TestRateLimiter:
 
 
 class TestInFlightCap:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RateLimiter(1.5), "max_in_flight must be an integer, got 1.5"),
+        (lambda: RetryPolicy(max_attempts=2.5),
+         "max_attempts must be an integer, got 2.5"),
+        (lambda: HashEmbedder(dim=8.0), "dim must be an integer, got 8.0"),
+    ], ids=["RateLimiter", "RetryPolicy", "HashEmbedder"])
+    def test_an_integer_setting_refuses_a_float(self, make, message):
+        """A fractional cap would hold none: a Semaphore(1.5) lets every
+        acquire through."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_limiter_rejects_a_cap_below_one(self):
         with pytest.raises(ValueError, match="max_in_flight"):
             RateLimiter(max_in_flight=0)

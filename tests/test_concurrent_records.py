@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import re
 import sys
 import threading
 import time
@@ -212,12 +213,15 @@ class TestCap:
         assert len(set(embedder.threads)) == 10
 
     @pytest.mark.parametrize("concurrency", [0, MAX_CONCURRENCY + 1, 10**6,
-                                             1e300])
+                                             1e300, 2.5])
     def test_a_concurrency_out_of_range_starts_no_thread(self, parts,
                                                          concurrency):
+        """A float is refused as no integer before its range is looked at."""
         ranker = ScrambledRanker(max_in_flight=4)
-        with pytest.raises(ConfigError, match=f"^concurrency must be from 1 "
-                                              f"to {MAX_CONCURRENCY}, got"):
+        rule = (f"from 1 to {MAX_CONCURRENCY}" if type(concurrency) is int
+                else "an integer")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"concurrency must be {rule}, got {concurrency!r}") + "$"):
             _run(parts, ranker, concurrency=concurrency)
         assert ranker.calls == 0
         assert _run_threads() == []

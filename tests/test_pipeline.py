@@ -219,7 +219,9 @@ class TestApplyAxis:
         assert type(getattr(config, field)) is type(want)
 
     @pytest.mark.parametrize("axis, value", [
-        (SweepAxis.ITERATIONS, "x"), (SweepAxis.ORDERING, "bogus")])
+        (SweepAxis.ITERATIONS, "x"), (SweepAxis.ORDERING, "bogus"),
+        # not cut to 2 rounds, or taken as 1
+        (SweepAxis.ITERATIONS, 2.9), (SweepAxis.ITERATIONS, True)])
     def test_a_value_of_the_wrong_form_raises(self, axis, value):
         with pytest.raises(ValueError):
             apply_axis(RerankConfig(), axis, value)

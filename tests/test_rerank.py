@@ -52,6 +52,13 @@ class TestConfig:
         {"iterations": 0},
         {"group_size": 11},
         {"seed": -1},
+        # a float or a bool is no integer, and a string is no enum member
+        {"iterations": 2.9},
+        {"top_k": 10.0},
+        {"seed": True},
+        {"seed": 1.5},
+        {"vote_mode": "per-round"},
+        {"ordering": "bogus"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

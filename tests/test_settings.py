@@ -1,0 +1,87 @@
+"""Every constructor that takes an integer setting checks it with one rule,
+:func:`tagrec.errors.integer`: a value it keeps is an exact int in range,
+and any other value is a ValueError at construction, never a run that
+fails record by record or silently runs otherwise."""
+
+from __future__ import annotations
+
+import math
+import threading
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tagrec.backends import HashEmbedder, RateLimiter, RetryPolicy
+from tagrec.errors import integer
+from tagrec.rerank import Ordering, RerankConfig, VoteMode
+from tagrec.sim import OracleKind, OracleSpec
+
+# Values a JSON config or a library caller may pass where an integer belongs.
+POOL = [math.nan, math.inf, -math.inf, 2**70, -1, 0, 1, 64, "", "4", True,
+        8.9, None, []]
+
+# Each constructor, the integer fields it takes, and its enum fields by
+# enum.  None of them starts a thread, opens a connection or sizes a pool:
+# RateLimiter(64) makes one semaphore.
+CONSTRUCTORS = [
+    (RerankConfig, ("group_size", "iterations", "top_k", "seed"),
+     {"ordering": Ordering, "vote_mode": VoteMode}),
+    (RetryPolicy, ("max_attempts",), {}),
+    (RateLimiter, ("max_in_flight",), {}),
+    (HashEmbedder, ("dim",), {}),
+    (partial(OracleSpec, OracleKind.LEXICAL), ("seed",), {}),
+]
+
+
+@st.composite
+def calls(draw):
+    """A constructor and keyword arguments drawn from the pool; a field left
+    out keeps its default."""
+    build, ints, enums = draw(st.sampled_from(CONSTRUCTORS))
+    values = st.sampled_from(POOL)
+    members = st.sampled_from(POOL + list(Ordering) + list(VoteMode))
+    kwargs = draw(st.fixed_dictionaries({}, optional={
+        **{name: values for name in ints},
+        **{name: members for name in enums}}))
+    return build, ints, enums, kwargs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(calls())
+def test_a_constructor_keeps_exact_ints_or_raises_value_error(call):
+    build, ints, enums, kwargs = call
+    threads = threading.active_count()
+    try:
+        built = build(**kwargs)
+    except ValueError:
+        return
+    finally:
+        assert threading.active_count() == threads
+    for name in ints:
+        assert type(getattr(built, name)) is int
+        if name in kwargs:
+            assert getattr(built, name) == kwargs[name]
+    for name, kind in enums.items():
+        assert type(getattr(built, name)) is kind
+
+
+@pytest.mark.parametrize("value, low, high, message", [
+    (True, None, None, "n must be an integer, got True"),
+    (2.0, None, None, "n must be an integer, got 2.0"),
+    ("3", None, None, "n must be an integer, got '3'"),
+    (None, 1, None, "n must be an integer, got None"),
+    (0, 1, None, "n must be >= 1, got 0"),
+    (0, 1, 64, "n must be from 1 to 64, got 0"),
+    (65, 1, 64, "n must be from 1 to 64, got 65"),
+])
+def test_integer_names_the_setting_it_refuses(value, low, high, message):
+    with pytest.raises(ValueError) as info:
+        integer("n", value, low, high)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, low, high", [
+    (-5, None, None), (2**70, 1, None), (1, 1, 64), (64, 1, 64)])
+def test_integer_returns_what_it_takes(value, low, high):
+    assert integer("n", value, low, high) is value

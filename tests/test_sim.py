@@ -19,6 +19,13 @@ class TestOracleSpec:
             OracleSpec(OracleKind.NOISY)
         with pytest.raises(ValueError):
             OracleSpec(OracleKind.NOISY, error_rate=1.5)
+        with pytest.raises(ValueError):
+            OracleSpec(OracleKind.NOISY, error_rate=True)
+
+    def test_seed_is_an_integer(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, "
+                                             "got 1.5$"):
+            OracleSpec(OracleKind.PERFECT, seed=1.5)
 
     def test_error_rate_only_for_noisy(self):
         with pytest.raises(ValueError):
@@ -27,6 +34,8 @@ class TestOracleSpec:
     def test_labels(self):
         assert OracleSpec(OracleKind.PERFECT).label == "perfect"
         assert OracleSpec(OracleKind.NOISY, error_rate=0.25).label == "noisy:0.25"
+        # labelled, and so keyed, as the CLI's float gives it
+        assert OracleSpec(OracleKind.NOISY, error_rate=1).label == "noisy:1.0"
 
 
 class TestOracleRank:
