@@ -26,7 +26,7 @@ from .pipeline import MAX_CONCURRENCY, _check_concurrency, apply_axis, \
     jsonl_line, run_records, run_sweep
 from .prompting import default_instruction, default_rerank_template
 from .rerank import Ordering, RerankConfig, VoteMode
-from .retrieval import VectorIndex, build_index
+from .retrieval import VectorIndex, build_index, embedder_id_of
 from .sim import OracleKind, OracleRanker, OracleSpec, recovery_experiment, \
     retrieval_like_weights
 
@@ -118,6 +118,19 @@ def _integer(key: str, value) -> int:
         except ValueError:
             pass
     return integer(key, value)
+
+
+def _number(key: str, value) -> float:
+    """``value`` as number setting ``key``: a string, such as the arg of a
+    ``kind:arg`` spec, is parsed; a bool or any other non-number is refused,
+    where plain ``float`` would take ``true`` as 1.0."""
+    if isinstance(value, str) or (isinstance(value, (int, float))
+                                  and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _convert(key: str, value):
@@ -223,37 +236,38 @@ def _write_json(path, doc) -> None:
 
 
 def _options(doc, types: dict, what: str) -> dict:
-    """The keys ``doc`` gives, each converted by ``types``; no other keys.
+    """The keys ``doc`` gives, each converted by ``types[key](key, value)``;
+    no other keys.
 
     A key left out stays out, so the backend's own default applies.  An
-    ``int`` key converts as every integer setting does (:func:`_integer`).
+    integer key converts as every integer setting does (:func:`_integer`),
+    and a number key by :func:`_number`.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{what} must be an object, got {doc!r}")
     unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-    return {key: _integer(key, value) if types[key] is int else
-            types[key](value) for key, value in doc.items()}
+    return {key: types[key](key, value) for key, value in doc.items()}
 
 
-def _as_given(value):
+def _as_given(key: str, value):
     return value
 
 
-def _nested(cls, what: str, **types):
+def _nested(cls, **types):
     """A converter of a nested spec object into ``cls``; null is the default."""
-    return lambda doc: None if doc is None else cls(**_options(doc, types, what))
+    return lambda key, doc: None if doc is None else cls(**_options(doc, types, key))
 
 
 _HTTP_KEYS = {
-    "model": _as_given, "base_url": _as_given, "timeout": float,
-    "retry": _nested(be.RetryPolicy, "retry", max_attempts=int,
-                     base_delay=float, factor=float, max_delay=float),
-    "rate_limit": _nested(be.RateLimiter, "rate_limit", max_in_flight=int,
-                          min_interval=float),
+    "model": _as_given, "base_url": _as_given, "timeout": _number,
+    "retry": _nested(be.RetryPolicy, max_attempts=_integer, base_delay=_number,
+                     factor=_number, max_delay=_number),
+    "rate_limit": _nested(be.RateLimiter, max_in_flight=_integer,
+                          min_interval=_number),
 }
-_HTTP_CHAT_KEYS = {**_HTTP_KEYS, "temperature": float, "system": _as_given}
+_HTTP_CHAT_KEYS = {**_HTTP_KEYS, "temperature": _number, "system": _as_given}
 
 
 def _http(cls, types: dict):
@@ -270,7 +284,7 @@ def _http(cls, types: dict):
 def _oracle(kind: OracleKind, backend=lambda spec: spec):
     """An oracle kind seeded from the run: its spec, or ``backend`` of it."""
     return lambda doc, seed, what: backend(OracleSpec(
-        kind, seed=seed, **_options(doc, {"error_rate": float}, what)))
+        kind, seed=seed, **_options(doc, {"error_rate": _number}, what)))
 
 
 # Per role: the kind of a spec object that names none, the key that the arg
@@ -283,7 +297,7 @@ ROLES = {
         "http": _http(be.HttpChatGenerator, _HTTP_CHAT_KEYS)}),
     "embedder": ("hash", "dim", be.CachingEmbedder, {
         "hash": lambda doc, seed, what: be.HashEmbedder(
-            **_options(doc, {"dim": int}, what)),
+            **_options(doc, {"dim": _integer}, what)),
         "http": _http(be.HttpEmbedder, _HTTP_KEYS)}),
     "ranker": (None, "error_rate", be.CachingRanker, {
         "http": _http(be.HttpChatRanker, _HTTP_CHAT_KEYS),
@@ -340,6 +354,8 @@ def _backends(settings: dict, *roles) -> list:
 
 
 def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
+    """The ``index`` file if it exists, else a fresh build saved there; a
+    file that another embedder or taxonomy built is a ConfigError."""
     index_path = settings.get("index")
     if index_path and Path(index_path).exists():
         try:
@@ -347,7 +363,12 @@ def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"index {index_path} cannot be loaded: "
                               f"{exc}") from None
-        if tuple(index.tag_ids) != tuple(d.tag_id for d in corpus.docs):
+        if index.embedder_id != embedder_id_of(embedder):
+            raise ConfigError(
+                f"index {index_path} was built by embedder "
+                f"{index.embedder_id!r}, not {embedder_id_of(embedder)!r} "
+                "(rebuild with embed-index)")
+        if index.corpus_sha256 != corpus.sha256:
             raise ConfigError(
                 f"index {index_path} does not match the taxonomy "
                 "(rebuild with embed-index)"

@@ -17,8 +17,10 @@ Loaded corpora and datasets are immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusError
@@ -73,6 +75,17 @@ class TaxonomyCorpus:
     def texts(self) -> dict[str, str]:
         """tag_id -> document text mapping, in corpus order."""
         return {doc.tag_id: doc.text for doc in self.docs}
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex SHA-256 over each (tag_id, text) pair in corpus order, each
+        string in UTF-8 after its byte length as a little-endian uint64."""
+        digest = hashlib.sha256()  # fed pair by pair: no copy of the texts
+        for doc in self.docs:
+            for text in (doc.tag_id, doc.text):
+                raw = text.encode("utf-8", "surrogatepass")
+                digest.update(len(raw).to_bytes(8, "little") + raw)
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,14 @@ where it would stay alive as long as the index does, across set-ups and
 idle time.  ``top_k`` also accepts a plain index and then builds a
 throwaway scan.
 
-The index persists as a flat binary file:
+The index persists as a binary file of three blocks (little endian):
 
-    header:     uint32 dim, uint32 count        (little endian)
-    per entry:  uint32 id byte length, id bytes (UTF-8),
-                dim * float32 values            (little endian)
+    header:   b"TRIX", uint32 version 2, dim, count, JSON block's length
+    JSON:     {"tag_ids": [...], "embedder_id": ..., "corpus_sha256": ...}
+    vectors:  count * dim float32 values, row by row
 
+The embedder's id and the taxonomy's digest name what built the index, so
+a caller can tell a stale one.
 Vectors are stored as float32, so a persisted index reloads bit-exactly.
 The index and its scans are not modified after build; ``top_k`` is
 read-only and safe for concurrent callers.
@@ -36,6 +38,7 @@ read-only and safe for concurrent callers.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import closing
@@ -54,6 +57,7 @@ __all__ = [
     "IndexScan",
     "EmbedderBackend",
     "build_index",
+    "embedder_id_of",
     "top_k",
     "retrieve",
 ]
@@ -89,12 +93,19 @@ def _as_vector(v) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+_SIGNATURE = b"TRIX" + struct.pack("<I", 2)  # magic and version
+_HEADER = struct.Struct("<8s3I")  # signature, dim, count, JSON block's length
+
+
 @dataclass(frozen=True)
 class VectorIndex:
-    """Embeddings of all taxonomy tag documents, in corpus order."""
+    """Embeddings of all taxonomy tag documents, in corpus order, and what
+    built them: the embedder's id and the taxonomy's digest, if known."""
 
     tag_ids: tuple[str, ...]
     vectors: np.ndarray  # (count, dim) float32
+    embedder_id: str | None = None
+    corpus_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2:
@@ -114,42 +125,45 @@ class VectorIndex:
         return int(self.vectors.shape[1])
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("wb") as fh:
-            fh.write(struct.pack("<II", self.dim, len(self)))
-            for tag_id, vec in zip(self.tag_ids, self.vectors):
-                raw = tag_id.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(vec.astype("<f4", copy=False).tobytes())
+        """Write a temp file of its own beside ``path``, then move it there:
+        a failed save leaves the file at ``path``, if any, as it was."""
+        meta = json.dumps({"tag_ids": self.tag_ids, "embedder_id": self.embedder_id,
+                           "corpus_sha256": self.corpus_sha256}).encode("utf-8")
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_HEADER.pack(_SIGNATURE, self.dim, len(self), len(meta)))
+                fh.write(meta)
+                fh.write(np.ascontiguousarray(self.vectors, dtype="<f4"))  # no copy
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        path = Path(path)
-        with path.open("rb") as fh:
-            header = fh.read(8)
-            if len(header) < 8:
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if not _SIGNATURE.startswith(header[:len(_SIGNATURE)]):
+                raise ValueError(f"{path}: not a version-2 index file; "
+                                 "rebuild with embed-index")
+            if len(header) < _HEADER.size:
                 raise ValueError(f"{path}: truncated index file")
-            dim, count = struct.unpack("<II", header)
-            # Each entry takes at least 4 + 4 * dim bytes: a header that
-            # claims more than the file holds allocates nothing.
-            if count * (4 + 4 * dim) > os.fstat(fh.fileno()).st_size - 8:
+            _, dim, count, meta_len = _HEADER.unpack(header)
+            # Checked before anything else is read or allocated.
+            size = _HEADER.size + meta_len + 4 * dim * count
+            if (actual := os.fstat(fh.fileno()).st_size) != size:
+                raise ValueError(f"{path}: truncated index file" if actual < size
+                                 else f"{path}: trailing bytes after {count} entries")
+            try:
+                meta = json.loads(fh.read(meta_len))
+                ids, built_by = meta["tag_ids"], (meta["embedder_id"],
+                                                  meta["corpus_sha256"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: damaged index block: {exc!r}") from None
+            vectors = np.empty((count, dim), dtype="<f4")
+            if fh.readinto(vectors) != vectors.nbytes:  # shrunk since the check
                 raise ValueError(f"{path}: truncated index file")
-            ids: list[str] = []
-            vecs = np.empty((count, dim), dtype="<f4")
-            for i in range(count):
-                raw_len = fh.read(4)
-                if len(raw_len) < 4:
-                    raise ValueError(f"{path}: truncated index entry {i}")
-                (id_len,) = struct.unpack("<I", raw_len)
-                raw = fh.read(id_len)
-                # Each vector is read straight into its row of the index.
-                if len(raw) < id_len or fh.readinto(vecs[i]) < 4 * dim:
-                    raise ValueError(f"{path}: truncated index entry {i}")
-                ids.append(raw.decode("utf-8"))
-            if fh.read(1):
-                raise ValueError(f"{path}: trailing bytes after {count} entries")
-        return cls(tag_ids=tuple(ids), vectors=vecs.astype(np.float32, copy=False))
+        return cls(tuple(ids), vectors.astype(np.float32, copy=False), *built_by)
 
 
 def _embed(call, n: int, what: str) -> np.ndarray:
@@ -162,6 +176,11 @@ def _embed(call, n: int, what: str) -> np.ndarray:
         raise BackendError(
             f"embedder returned shape {vecs.shape} for {n} texts")
     return vecs
+
+
+def embedder_id_of(embedder: EmbedderBackend) -> str:
+    """``embedder``'s ``backend_id``, or that of the embedder it caches."""
+    return getattr(embedder, "inner", embedder).backend_id
 
 
 def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
@@ -198,7 +217,7 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
                     f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
                 )
             vectors[start:start + n] = vecs
-    return VectorIndex(tag_ids=tuple(ids), vectors=vectors)
+    return VectorIndex(tuple(ids), vectors, embedder_id_of(embedder), corpus.sha256)
 
 
 def _visiting_order(dim: int) -> tuple[np.ndarray, int]:

@@ -61,6 +61,9 @@ class OracleSpec:
 
     def __post_init__(self) -> None:
         integer("seed", self.seed, 0)
+        if not isinstance(self.kind, OracleKind):
+            raise ValueError(f"kind must be one of "
+                             f"{[e.value for e in OracleKind]}, got {self.kind!r}")
         if self.kind is OracleKind.NOISY:
             rate = self.error_rate
             if isinstance(rate, (bool, type(None))) or not 0.0 <= rate <= 1.0:

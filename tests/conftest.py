@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import threading
 import time
 from pathlib import Path
@@ -82,6 +83,15 @@ def write_dataset(path: Path, records) -> Path:
             }) + "\n")
     return path
 
+
+
+def v1_bytes(index) -> bytes:
+    """``index`` in the version-1 file layout: dim and count, then per entry
+    the id's byte length, the id and the vector."""
+    return struct.pack("<II", index.dim, len(index)) + b"".join(
+        struct.pack("<I", len(raw)) + raw + vector.astype("<f4").tobytes()
+        for raw, vector in zip((t.encode("utf-8") for t in index.tag_ids),
+                               index.vectors))
 
 @pytest.fixture
 def ten_tag_corpus() -> TaxonomyCorpus:

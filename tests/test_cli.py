@@ -22,7 +22,7 @@ from tagrec.retrieval import VectorIndex, build_index
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 from conftest import TEN_TAGS, FakeEmbeddingReply, FakeEmbeddingService, \
-    make_records, write_dataset, write_taxonomy
+    make_records, v1_bytes, write_dataset, write_taxonomy
 
 HTTP_EMBEDDER = {"kind": "http", "model": "e",
                  "base_url": "http://embedder.invalid/v1"}
@@ -644,11 +644,13 @@ class TestRun:
 
     def test_http_embedder_of_another_width_than_the_index_exits_2(
             self, workspace, capsys, embedding_session):
-        """Found from the first query vector, with no extra request."""
+        """The model behind the embedder that built the index now answers in
+        another width: found from the first query vector, with no extra
+        request."""
         tmp, taxonomy, dataset = workspace
         index_path = tmp / "tags.idx"
-        assert run_cli("embed-index", "--taxonomy", taxonomy,
-                       "--index", index_path, "--embedder", "hash:64") == 0
+        index = build_index(load_taxonomy(taxonomy), HashEmbedder(dim=64))
+        dataclasses.replace(index, embedder_id="http-embedder:e").save(index_path)
         config = tmp / "run.json"
         config.write_text(json.dumps({
             "taxonomy": str(taxonomy), "dataset": str(dataset),
@@ -659,6 +661,55 @@ class TestRun:
         err = capsys.readouterr().err
         assert "32-dimensional" in err and "64-dimensional" in err
         assert embedding_session.calls == 1
+        assert not (tmp / "p.jsonl").exists()
+
+    @staticmethod
+    def _on_index(workspace, command, *flags):
+        """``command`` over the workspace with its ``tags.idx``."""
+        tmp, taxonomy, dataset = workspace
+        outputs = {"run": ["--predictions-out", tmp / "p.jsonl"],
+                   "sweep": ["--axis", "iterations", "--values", "1,2",
+                             "--out", tmp / "p.jsonl"]}[command]
+        return run_cli(command, "--taxonomy", taxonomy, "--dataset", dataset,
+                       "--index", tmp / "tags.idx", "--ranker", "perfect",
+                       *flags, *outputs)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_an_index_of_edited_texts_exits_2(self, workspace, capsys,
+                                              command):
+        """Every tag keeps its id and gets a new text."""
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("embed-index", "--taxonomy", taxonomy, "--index",
+                       tmp / "tags.idx", "--embedder", "hash:64") == 0
+        write_taxonomy(taxonomy, [(tag_id, f"{text}, as restated")
+                                  for tag_id, text in TEN_TAGS])
+        assert self._on_index(workspace, command, "--embedder", "hash:64") == 2
+        assert capsys.readouterr().err.endswith(
+            "does not match the taxonomy (rebuild with embed-index)\n")
+        assert not (tmp / "p.jsonl").exists()
+
+    def test_an_index_of_another_embedder_of_the_same_width_exits_2(
+            self, workspace, capsys, embedding_session):
+        """Found from the index file, before any request."""
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("embed-index", "--taxonomy", taxonomy, "--index",
+                       tmp / "tags.idx", "--embedder", "hash:32") == 0
+        config = tmp / "embedder.json"
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        assert self._on_index(workspace, "run", "--config", config) == 2
+        assert capsys.readouterr().err.endswith(
+            "was built by embedder 'hash-embedder:dim=32', not "
+            "'http-embedder:e' (rebuild with embed-index)\n")
+        assert embedding_session.calls == 0
+        assert not (tmp / "p.jsonl").exists()
+
+    def test_a_version_1_index_exits_2(self, workspace, capsys):
+        """The per-entry layout: dim and count, then each id and vector."""
+        tmp, taxonomy, dataset = workspace
+        index = build_index(load_taxonomy(taxonomy), HashEmbedder(dim=64))
+        (tmp / "tags.idx").write_bytes(v1_bytes(index))
+        assert self._on_index(workspace, "run", "--embedder", "hash:64") == 2
+        assert capsys.readouterr().err.endswith("rebuild with embed-index\n")
         assert not (tmp / "p.jsonl").exists()
 
     def test_http_ranker_keeps_to_its_rate_limit(self, workspace,
@@ -820,6 +871,8 @@ class TestMalformedBackendSpecs:
         ("embedder", {"kind": "hash", "dim": 64.0}),
         ("ranker", {**HTTP_RANKER, "rate_limit": {"max_in_flight": 4.7}}),
         ("ranker", {**HTTP_RANKER, "retry": {"max_attempts": True}}),
+        ("ranker", {"kind": "noisy", "error_rate": True}),
+        ("ranker", {**HTTP_RANKER, "temperature": True}),
     ])
     def test_bad_spec_value_exits_2(self, workspace, capsys, role, spec):
         assert self._run(workspace, **{role: spec}) == 2
@@ -1148,6 +1201,41 @@ class TestBackendSpecs:
                                                           message):
         with pytest.raises(ConfigError, match=f"^backend spec .*: {message}$"):
             _build("ranker", spec)
+
+    @pytest.mark.parametrize("role, spec, message", [
+        ("ranker", {"kind": "noisy", "error_rate": True},
+         "error_rate must be a number, got True"),
+        ("oracle", {"kind": "noisy", "error_rate": False},
+         "error_rate must be a number, got False"),
+        ("ranker", {**HTTP_RANKER, "temperature": True},
+         "temperature must be a number, got True"),
+        ("ranker", {**HTTP_RANKER, "timeout": True},
+         "timeout must be a number, got True"),
+        ("embedder", {**HTTP_EMBEDDER, "timeout": [30]},
+         r"timeout must be a number, got \[30\]"),
+        ("ranker", {**HTTP_RANKER, "retry": {"base_delay": True}},
+         "base_delay must be a number, got True"),
+        ("ranker", {**HTTP_RANKER, "retry": {"max_delay": None}},
+         "max_delay must be a number, got None"),
+        ("ranker", {**HTTP_RANKER, "rate_limit": {"min_interval": True}},
+         "min_interval must be a number, got True"),
+        ("ranker", {**HTTP_RANKER, "timeout": "soon"},
+         "timeout must be a number, got 'soon'"),
+        ("ranker", {**HTTP_RANKER, "timeout": 10**400},
+         "timeout must be a number, got 1000"),
+    ])
+    def test_number_keys_of_a_spec_take_no_bool_or_non_number(
+            self, role, spec, message):
+        with pytest.raises(ConfigError, match=f"^backend spec .*: {message}"):
+            _build(role, spec)
+
+    @pytest.mark.parametrize("spec, rate", [
+        ("noisy:0.3", 0.3), ({"kind": "noisy", "error_rate": "0.3"}, 0.3),
+        ({"kind": "noisy", "error_rate": 1}, 1.0),
+        ({"kind": "noisy", "error_rate": 0.25}, 0.25)])
+    def test_number_keys_take_numbers_and_decimal_strings(self, spec, rate):
+        built = _build("ranker", spec).spec.error_rate
+        assert built == rate and type(built) is float
 
     def test_cache_wraps_every_backend_that_builds_keys(self, tmp_path):
         from tagrec import backends as be

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,19 @@ def test_taxonomy_round_trip_random(tmp_path_factory, tags):
     corpus = load_taxonomy(write_taxonomy(tmp / "a.jsonl", tags))
     assert corpus == TaxonomyCorpus(docs=tuple(TagDocument(t, x) for t, x in tags))
 
+
+
+def test_the_taxonomy_digest_covers_ids_texts_and_order():
+    """Each string's length goes before it, so no two taxonomies whose
+    strings only join up alike share a digest."""
+    corpus = make_corpus([("T1", "doc one"), ("净", "b")])
+    want = hashlib.sha256(b"".join(
+        len(raw).to_bytes(8, "little") + raw
+        for raw in (b"T1", b"doc one", "净".encode("utf-8"), b"b"))).hexdigest()
+    assert corpus.sha256 == want
+    others = [[("T1", "doc on"), ("净", "eb")], [("T1", "doc one"), ("净", "c")],
+              [("T", "1doc one"), ("净", "b")], [("净", "b"), ("T1", "doc one")]]
+    assert want not in {make_corpus(tags).sha256 for tags in others}
 
 def test_load_dataset_accepts_substring_numeral(tmp_path):
     rec = NumeralRecord(record_id="r1", report_text="Revenue was 5 .",

@@ -1,5 +1,6 @@
-"""Each module's ``__all__`` names only what the module defines, and no
-private helper is left without a caller."""
+"""Each module's ``__all__`` names only what the module defines, no
+private helper is left without a caller, and every file opened as text
+names its encoding."""
 
 from __future__ import annotations
 
@@ -76,3 +77,49 @@ def test_no_private_helper_is_left_without_a_caller():
     defined, uses = _private_defs_and_uses()
     assert {"_tally", "request_of"} <= defined
     assert sorted(name for name in defined if uses[name] < 2) == []
+
+
+def _unnamed_encodings(source: str) -> list[str]:
+    """The text-mode ``open``, ``Path.open``, ``read_text`` and
+    ``write_text`` calls in ``source`` that name no ``encoding``, each as
+    ``line: code``.  A mode that is not a string literal counts as text;
+    ``os.open`` takes flags, not a mode, and is no such call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(
+                kw.arg == "encoding" for kw in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1:2]
+        elif isinstance(func, ast.Attribute) and func.attr == "open" and not (
+                isinstance(func.value, ast.Name) and func.value.id == "os"):
+            mode = node.args[:1]
+        elif isinstance(func, ast.Attribute) and func.attr in ("read_text",
+                                                               "write_text"):
+            mode = []
+        else:
+            continue
+        mode += [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if not (mode and isinstance(mode[0], ast.Constant)
+                and "b" in mode[0].value):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_encoding_check_finds_each_kind_of_call():
+    source = "\n".join([
+        "open(p)", "open(p, 'w')", "open(p, mode)", "p.open()",
+        "p.open(mode='a')", "p.read_text()", "p.write_text(s)",
+        "open(p, 'rb')", "p.open('wb')", "open(p, mode='rb')",
+        "os.open(p, flags)", "open(p, encoding='utf-8')",
+        "p.open('w', encoding='utf-8')", "p.read_text(encoding='utf-8')"])
+    assert [line.split(":")[0] for line in _unnamed_encodings(source)] == \
+        ["1", "2", "3", "4", "5", "6", "7"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(tagrec.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_text_mode_open_names_its_encoding(path):
+    """Else the locale picks it, and a non-UTF-8 locale reads other text."""
+    assert _unnamed_encodings(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import errno
+import os
+import struct
+import tempfile
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from tagrec.backends import CachingEmbedder, HashEmbedder, HttpEmbedder, \
     RateLimiter, ResponseCache, RetryPolicy
+from tagrec import retrieval
 from tagrec.errors import BackendError
 from tagrec.retrieval import IndexScan, VectorIndex, _top_positions, \
     build_index, retrieve, top_k
 
-from conftest import FakeEmbeddingService, embed_threads, make_records
+from conftest import FakeEmbeddingService, embed_threads, make_records, \
+    v1_bytes
 
 
 def brute_force_top_k(query, index, k):
@@ -117,6 +125,105 @@ class TestIndex:
         index.save(path)
         assert VectorIndex.load(path).tag_ids == ("净利润", "收入")
 
+    def test_a_failed_save_leaves_the_old_index_and_no_temp_file(
+            self, tmp_path, ten_tag_corpus, monkeypatch):
+        """The disk fills up after the header is written."""
+        old = build_index(ten_tag_corpus, HashEmbedder(dim=8))
+        path = tmp_path / "tags.idx"
+        old.save(path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(retrieval, "open",
+                            lambda *args: DiskFull(open(*args)), raising=False)
+        new = build_index(ten_tag_corpus, HashEmbedder(dim=16))
+        with pytest.raises(OSError, match="No space left"):
+            new.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert VectorIndex.load(path).dim == 8
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+TAG_IDS = st.text(st.one_of(st.sampled_from("\n\0é净"), st.characters(
+    blacklist_categories=("Cs",))), min_size=1, max_size=12)
+
+
+@st.composite
+def indexes(draw):
+    dim, count = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(count, dim)).astype(np.float32)
+    vectors[rng.random(size=vectors.shape) < 0.2] = -0.0
+    return VectorIndex(
+        tuple(draw(st.lists(TAG_IDS, min_size=count, max_size=count,
+                            unique=True))), vectors,
+        embedder_id=draw(st.none() | st.text(max_size=20)),
+        corpus_sha256=draw(st.none() | st.text("0123456789abcdef",
+                                                min_size=64, max_size=64)))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(indexes())
+def test_the_index_file_round_trips_and_every_damage_is_named(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "a.idx"), Path(tmp, "b.idx")
+        index.save(path)
+        loaded = VectorIndex.load(path)
+        assert (loaded.tag_ids, loaded.embedder_id, loaded.corpus_sha256) == \
+            (index.tag_ids, index.embedder_id, index.corpus_sha256)
+        assert loaded.vectors.dtype == np.float32
+        assert np.array_equal(loaded.vectors.view(np.uint32),
+                              index.vectors.view(np.uint32))
+        loaded.save(again)
+        data = path.read_bytes()
+        assert again.read_bytes() == data
+
+        again.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match=f"trailing bytes after "
+                                             f"{len(index)} entries$"):
+            VectorIndex.load(again)
+        errors = set()
+        for cut in range(len(data) - 1, -1, -1):  # every proper prefix
+            os.truncate(again, cut)
+            try:
+                VectorIndex.load(again)
+            except ValueError as exc:
+                errors.add(str(exc))
+            else:
+                errors.add(f"{cut} bytes load")
+        assert errors == {f"{again}: truncated index file"}
+
+        for field in (8, 12):  # dim, then count
+            huge = struct.pack("<I", 2**32 - 1)
+            again.write_bytes(data[:field] + huge + data[field + 4:])
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="truncated index file$"):
+                    VectorIndex.load(again)
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+            finally:
+                tracemalloc.stop()
+
+        again.write_bytes(v1_bytes(index))
+        with pytest.raises(ValueError, match="rebuild with embed-index$"):
+            VectorIndex.load(again)
+
 
 def http_embedder(service, cap=3):
     return HttpEmbedder("e", "http://api.test/v1", session=service,
@@ -158,15 +265,24 @@ class TestOverlappedBuild:
 
     def test_cached_build_is_bit_identical_and_a_warm_one_sends_nothing(
             self, tmp_path, ten_tag_corpus):
-        sequential = build_index(ten_tag_corpus, HashEmbedder(dim=8),
-                                 batch_size=2)
+        """The file of a cached build is that of an uncached one: the index
+        names the inner embedder.  Its vectors are the hash embedder's,
+        bit for bit, though its file names another embedder."""
+        hashed = build_index(ten_tag_corpus, HashEmbedder(dim=8), batch_size=2)
+        uncached = build_index(ten_tag_corpus,
+                               http_embedder(FakeEmbeddingService()),
+                               batch_size=2)
         for sent in (5, 0):
             service = FakeEmbeddingService()
             embedder = CachingEmbedder(http_embedder(service),
                                        ResponseCache(tmp_path / "cache"))
             index = build_index(ten_tag_corpus, embedder, batch_size=2)
             assert index_bytes(index, tmp_path / "a.idx") == \
-                index_bytes(sequential, tmp_path / "b.idx")
+                index_bytes(uncached, tmp_path / "b.idx")
+            assert index.embedder_id == "http-embedder:e"
+            assert index.tag_ids == hashed.tag_ids
+            assert np.array_equal(index.vectors.view(np.uint32),
+                                  hashed.vectors.view(np.uint32))
             assert len(service.sent) == sent
         assert embed_threads() == []
 
@@ -185,6 +301,7 @@ class TestOverlappedBuild:
             self, tmp_path, ten_tag_corpus, monkeypatch):
         class BatchByBatch:  # no embed_batches, so one embed_batch per batch
             def __init__(self, inner):
+                self.backend_id = inner.backend_id
                 self.embed_batch = inner.embed_batch
 
         embedder = HashEmbedder(dim=8)

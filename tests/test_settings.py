@@ -23,15 +23,18 @@ POOL = [math.nan, math.inf, -math.inf, 2**70, -1, 0, 1, 64, "", "4", True,
 
 # Each constructor, the integer fields it takes, and its enum fields by
 # enum.  None of them starts a thread, opens a connection or sizes a pool:
-# RateLimiter(64) makes one semaphore.
+# RateLimiter(64) makes one semaphore.  An enum field also draws its
+# members' string values, which every constructor refuses.
 CONSTRUCTORS = [
     (RerankConfig, ("group_size", "iterations", "top_k", "seed"),
      {"ordering": Ordering, "vote_mode": VoteMode}),
     (RetryPolicy, ("max_attempts",), {}),
     (RateLimiter, ("max_in_flight",), {}),
     (HashEmbedder, ("dim",), {}),
-    (partial(OracleSpec, OracleKind.LEXICAL), ("seed",), {}),
+    (partial(OracleSpec, kind=OracleKind.LEXICAL), ("seed",),
+     {"kind": OracleKind}),
 ]
+ENUMS = [member for kind in (Ordering, VoteMode, OracleKind) for member in kind]
 
 
 @st.composite
@@ -40,7 +43,7 @@ def calls(draw):
     out keeps its default."""
     build, ints, enums = draw(st.sampled_from(CONSTRUCTORS))
     values = st.sampled_from(POOL)
-    members = st.sampled_from(POOL + list(Ordering) + list(VoteMode))
+    members = st.sampled_from(POOL + ENUMS + [e.value for e in ENUMS])
     kwargs = draw(st.fixed_dictionaries({}, optional={
         **{name: values for name in ints},
         **{name: members for name in enums}}))
@@ -85,3 +88,13 @@ def test_integer_names_the_setting_it_refuses(value, low, high, message):
     (-5, None, None), (2**70, 1, None), (1, 1, 64), (64, 1, 64)])
 def test_integer_returns_what_it_takes(value, low, high):
     assert integer("n", value, low, high) is value
+
+
+@pytest.mark.parametrize("kind", ["perfect", None, 0])
+def test_an_oracle_kind_that_is_no_member_is_named(kind):
+    """A plain string once built, and its label then raised AttributeError."""
+    with pytest.raises(ValueError) as info:
+        OracleSpec(kind)
+    assert str(info.value) == (
+        "kind must be one of ['perfect', 'noisy', 'lexical', "
+        f"'position-biased', 'identity-echo'], got {kind!r}")
