@@ -33,11 +33,12 @@ with tempfile.TemporaryDirectory(prefix="tagrec-demo-") as tmp:
 
     taxonomy = workdir / "taxonomy.jsonl"
     taxonomy.write_text("".join(
-        json.dumps({"tag_id": t, "text": x}) + "\n" for t, x in TAGS))
+        json.dumps({"tag_id": t, "text": x}) + "\n" for t, x in TAGS),
+        encoding="utf-8")
 
     # five records whose stored gen_tag_doc is the gold tag's document text
     dataset = workdir / "dataset.jsonl"
-    with dataset.open("w") as fh:
+    with dataset.open("w", encoding="utf-8") as fh:
         for i, (tag_id, text) in enumerate(TAGS[:5]):
             numeral = f"{(i + 1) * 3},100"
             fh.write(json.dumps({

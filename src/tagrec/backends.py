@@ -49,7 +49,7 @@ import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .errors import BackendError, CacheConflictError, CacheEntryError, \
-    MissingGenerationError, integer
+    MissingGenerationError, integer, number
 
 __all__ = [
     "BackendRequest",
@@ -69,6 +69,7 @@ __all__ = [
     "CachingGenerator",
     "CachingRanker",
     "CachingEmbedder",
+    "checked_vectors",
     "generate",
 ]
 
@@ -293,10 +294,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # No attempt at all would fail every call without sending it.
         integer("max_attempts", self.max_attempts, 1)
-        if not all(0 <= value < math.inf for value in  # NaN too
-                   (self.base_delay, self.factor, self.max_delay)):
-            raise ValueError("base_delay, factor and max_delay must be "
-                             "finite and >= 0")
+        for name in ("base_delay", "factor", "max_delay"):
+            object.__setattr__(self, name, number(name, getattr(self, name), 0))
 
     def delay(self, attempt: int, retry_after: float = 0.0) -> float:
         """The wait after failed attempt ``attempt`` (from 0) whose reply
@@ -318,20 +317,18 @@ class RateLimiter:
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
         self.max_in_flight = integer("max_in_flight", max_in_flight, 1,
                                      self.MAX_IN_FLIGHT)
-        if not 0.0 <= min_interval < math.inf:  # NaN too
-            raise ValueError("min_interval must be finite and >= 0")
+        self.min_interval = number("min_interval", min_interval, 0)
         self._sem = threading.Semaphore(max_in_flight)
-        self._min_interval = min_interval
         self._lock = threading.Lock()
         self._next_allowed = 0.0
 
     def __enter__(self):
         self._sem.acquire()
-        if self._min_interval > 0.0:
+        if self.min_interval > 0.0:
             with self._lock:
                 now = time.monotonic()
                 wait = self._next_allowed - now
-                self._next_allowed = max(now, self._next_allowed) + self._min_interval
+                self._next_allowed = max(now, self._next_allowed) + self.min_interval
             if wait > 0.0:
                 time.sleep(wait)
         return self
@@ -353,12 +350,11 @@ class HashEmbedder:
     always cosine-1.0 with itself, and token-disjoint texts are orthogonal
     absent bucket collisions.
 
-    A batch of several texts hashes each distinct token once, into a
-    token-to-bucket dict that :meth:`embed_batches` keeps for one call
-    only, so building an index hashes each distinct token once however
-    many batches hold it, and nothing outlives the build.  A batch of one
-    text, such as a record's query, is hashed token by token.  Vectors do
-    not depend on which path made them.
+    A batch hashes each distinct token once, into a token-to-bucket dict
+    that :meth:`embed_batches` keeps for one call only, so building an
+    index hashes each distinct token once however many batches hold it,
+    and nothing outlives the build.  A batch of one text, such as a
+    record's query, starts from an empty dict.
     """
 
     def __init__(self, dim: int = 256):
@@ -382,19 +378,14 @@ class HashEmbedder:
         token_lists = [text.lower().split() for text in texts]
         if not all(token_lists):
             raise BackendError("cannot embed a whitespace-only text")
-        if len(texts) == 1:
-            # A query: its tokens rarely repeat, so a dict would save little.
-            cells = list(map(self._bucket, token_lists[0]))
-        else:
-            tokens = list(chain.from_iterable(token_lists))
-            missing = set(tokens).difference(buckets)
-            buckets.update(zip(missing, map(self._bucket, missing)))
-            cells = np.fromiter(map(buckets.__getitem__, tokens),
-                                dtype=np.intp, count=len(tokens))
-            lengths = np.fromiter(map(len, token_lists), dtype=np.intp,
-                                  count=len(texts))
-            cells += np.repeat(np.arange(0, len(texts) * self.dim, self.dim),
-                               lengths)
+        tokens = list(chain.from_iterable(token_lists))
+        missing = set(tokens).difference(buckets)
+        buckets.update(zip(missing, map(self._bucket, missing)))
+        cells = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp,
+                            count=len(tokens))
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp,
+                              count=len(texts))
+        cells += np.repeat(np.arange(0, len(texts) * self.dim, self.dim), lengths)
         # Integer counts make every norm exact.
         out = np.bincount(cells, minlength=len(texts) * self.dim).astype(np.float64)
         out = out.reshape(len(texts), self.dim)
@@ -443,8 +434,9 @@ class _HttpBackend:
     def __init__(self, model: str, base_url: str, *, retry: RetryPolicy | None = None,
                  limiter: RateLimiter | None = None, timeout: float = 60.0,
                  session=None, sleep=time.sleep):
-        if not 0 < timeout < math.inf:  # NaN too
-            raise ValueError("timeout must be finite and > 0")
+        self.timeout = number("timeout", timeout, 0)
+        if self.timeout == 0:  # requests refuses it on every call
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.model = model
         self.backend_id = f"http-{self.role}:{model}"
         self.base_url = os.environ.get(f"TAGREC_{self.role.upper()}_BASE_URL",
@@ -452,7 +444,6 @@ class _HttpBackend:
         self.retry = retry or RetryPolicy()
         self.limiter = limiter or RateLimiter()
         self.max_in_flight = self.limiter.max_in_flight
-        self.timeout = timeout
         if session is None:
             # One pooled connection per call the limiter lets through, so
             # none is thrown away when more than urllib3's 10 are in flight.
@@ -524,9 +515,7 @@ class _HttpChat(_HttpBackend):
 
     def __init__(self, model: str, base_url: str, *, temperature: float = 0.0,
                  system: str | None = None, **http_kwargs):
-        if isinstance(temperature, bool) or not math.isfinite(temperature):
-            raise ValueError(f"temperature must be finite, got {temperature!r}")
-        self.temperature = float(temperature)  # 1 sends and keys as 1.0
+        self.temperature = number("temperature", temperature)  # 1 keys as 1.0
         self.system = system
         super().__init__(model, base_url, **http_kwargs)
 
@@ -546,7 +535,10 @@ class _HttpChat(_HttpBackend):
                 "temperature": self.temperature}
         doc = self._json(self.post("/chat/completions", body))
         try:
-            return doc["choices"][0]["message"]["content"]
+            content = doc["choices"][0]["message"]["content"]
+            if not isinstance(content, str):  # nothing else may be cached
+                raise TypeError(f"content is {type(content).__name__}")
+            return content
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"{self.role}: malformed chat response") from exc
 
@@ -624,19 +616,23 @@ class HttpEmbedder(_HttpBackend):
             vectors = [item["embedding"] for item in doc["data"]]
         except (KeyError, TypeError) as exc:
             raise BackendError("embedder: malformed embeddings response") from exc
-        if len(vectors) != len(texts):
-            raise BackendError(
-                f"embedder: got {len(vectors)} vectors for {len(texts)} inputs"
-            )
-        return _finite(np.asarray(vectors, dtype=np.float64), "reply")
+        return checked_vectors(vectors, len(texts), "embedder: reply")
 
 
-def _finite(vectors: np.ndarray, what: str) -> np.ndarray:
-    """``vectors``, or a BackendError: JSON decoders accept NaN and
-    Infinity, and no index or cache may hold them."""
-    if not np.isfinite(vectors).all():
-        raise BackendError(f"embedder: {what} holds a non-finite value")
-    return vectors
+def checked_vectors(vectors, n: int, what: str) -> np.ndarray:
+    """``vectors`` as a float64 array of ``n`` non-empty rows, all finite,
+    or a BackendError naming ``what``: JSON decoders accept NaN and
+    Infinity, and no index, query or cache may hold them."""
+    try:
+        array = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BackendError(f"{what} holds no vectors of numbers ({exc})") from None
+    if array.ndim != 2 or array.shape[0] != n or array.shape[1] == 0:
+        raise BackendError(f"{what} returned shape {array.shape} for {n} "
+                           f"texts, not {n} non-empty vectors")
+    if not np.isfinite(array).all():
+        raise BackendError(f"{what} holds a non-finite value")
+    return array
 
 
 # --------------------------------------------------------------------------
@@ -646,13 +642,11 @@ def _finite(vectors: np.ndarray, what: str) -> np.ndarray:
 class _Counter:
     def __init__(self):
         self._lock = threading.Lock()
-        self.requests = 0
         self.hits = 0
         self.misses = 0
 
     def record(self, hit: bool) -> None:
         with self._lock:
-            self.requests += 1
             if hit:
                 self.hits += 1
             else:
@@ -660,7 +654,7 @@ class _Counter:
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {"requests": self.requests, "hits": self.hits,
+            return {"requests": self.hits + self.misses, "hits": self.hits,
                     "misses": self.misses}
 
 
@@ -682,13 +676,10 @@ class _CachingBase:
         self.cache = cache
         self.counter = _Counter()
         self.backend_id = f"cached({inner.backend_id})"
+        # The wrapped backend's cap on calls in flight, if it has one.
+        self.max_in_flight = getattr(inner, "max_in_flight", None)
         self._turn_ended = threading.Condition(threading.Lock())
         self._in_flight: set[str] = set()  # keys whose turn is taken
-
-    @property
-    def max_in_flight(self) -> int | None:
-        """The wrapped backend's cap on calls in flight, if it has one."""
-        return getattr(self.inner, "max_in_flight", None)
 
     @contextmanager
     def _turns_of(self, keys: Iterable[str]) -> Iterator[None]:
@@ -775,21 +766,20 @@ class CachingEmbedder(_CachingBase):
                 for key, texts in zip(keys, batches):
                     if misses.pop(key, None) is not None:
                         vectors = next(replies)
-                    else:
-                        entry = self.cache.get(key)
-                        if entry is not None:
-                            self.counter.record(hit=True)
-                            try:
-                                vectors = np.asarray(json.loads(entry.response),
-                                                     dtype=np.float64)
-                            except (ValueError, TypeError) as exc:
-                                raise self.cache.damaged(key, exc) from None
-                            yield _finite(vectors, f"cache entry {key}")
-                            continue
-                        # Cleared since the check (``tagrec cache clear``).
+                    elif (entry := self.cache.get(key)) is not None:
+                        self.counter.record(hit=True)
+                        try:
+                            vectors = checked_vectors(json.loads(entry.response),
+                                                      len(texts),
+                                                      f"cache entry {key}")
+                        except (ValueError, BackendError) as exc:
+                            raise self.cache.damaged(key, exc) from None
+                        yield vectors
+                        continue
+                    else:  # cleared since the check (``tagrec cache clear``)
                         vectors = self.inner.embed_batch(texts)
-                    vectors = np.asarray(vectors)
+                    vectors = checked_vectors(vectors, len(texts), "embedder")
                     self._store(key, json.dumps(vectors.tolist()))
                     # Not parsed back: floats round-trip through their
                     # repr, so these are the bits a hit reads.
-                    yield np.asarray(vectors, dtype=np.float64)
+                    yield vectors

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import backends as be
 from .corpus import _iter_jsonl, _require_str, load_dataset, load_taxonomy
-from .errors import ConfigError, TagRecError, integer
+from .errors import ConfigError, TagRecError, integer, number
 from .evaluation import METRIC_COLUMNS, PredictionSet, SweepAxis, \
     evaluate_predictions, render_table
 from .pipeline import MAX_CONCURRENCY, _check_concurrency, apply_axis, \
@@ -122,15 +122,15 @@ def _integer(key: str, value) -> int:
 
 def _number(key: str, value) -> float:
     """``value`` as number setting ``key``: a string, such as the arg of a
-    ``kind:arg`` spec, is parsed; a bool or any other non-number is refused,
-    where plain ``float`` would take ``true`` as 1.0."""
-    if isinstance(value, str) or (isinstance(value, (int, float))
-                                  and not isinstance(value, bool)):
+    ``kind:arg`` spec, is parsed, and any other value is checked by
+    :func:`number`, which refuses a bool where plain ``float`` would take
+    ``true`` as 1.0."""
+    if isinstance(value, str):
         try:
             return float(value)
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    return number(key, value)
 
 
 def _convert(key: str, value):
@@ -471,11 +471,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 _manifest(settings, instruction, backends, result.counts))
 
     rate = result.gold_in_top_k_rate()
-    summary = (
-        f"records={len(records)} predicted={len(result.predictions)} "
-        f"skipped={len(result.skipped)} failed={len(result.failed)} "
-        f"fallbacks={result.fallback_count}"
-    )
+    summary = " ".join(f"{key}={value}" for key, value in
+                       {"records": len(records), **result.counts}.items())
     if rate is not None:
         summary += f" gold_in_top_k={rate:.4f}"
     print(summary)
@@ -678,6 +675,9 @@ def main(argv: list[str] | None = None) -> int:
     except TagRecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # every thread of the run is joined by now
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

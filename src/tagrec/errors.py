@@ -1,4 +1,7 @@
-"""Exception hierarchy and integer setting check shared across the package."""
+"""Exception hierarchy and the checks of integer and number settings shared
+across the package."""
+
+import math
 
 
 class TagRecError(Exception):
@@ -44,3 +47,23 @@ def integer(name: str, value, low: int | None = None,
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def number(name: str, value, low: float | None = None,
+           high: float | None = None) -> float:
+    """``value`` as a float if it is a finite int or float, not a bool, from
+    ``low`` to ``high`` where given; otherwise a ValueError naming setting
+    ``name``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int past every float
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(as_float):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if high is not None and not low <= as_float <= high:
+        raise ValueError(f"{name} must be from {low} to {high}, got {value!r}")
+    if low is not None and as_float < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return as_float

@@ -19,7 +19,7 @@ recall whenever both are positive, and 0 exactly when both are 0).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -81,20 +81,10 @@ class EvalReport:
     n_classes: int
 
     def to_dict(self) -> dict:
-        return {
-            "hits_at_1": self.hits_at_1,
-            "macro_p": self.macro_p,
-            "macro_r": self.macro_r,
-            "macro_f1": self.macro_f1,
-            "avg": self.avg,
-            "n_records": self.n_records,
-            "n_classes": self.n_classes,
-            "per_class": [
-                {"tag_id": c.tag_id, "tp": c.tp, "fp": c.fp, "fn": c.fn,
-                 "precision": c.precision, "recall": c.recall, "f1": c.f1}
-                for c in self.per_class
-            ],
-        }
+        """Every field by name, ``per_class`` as a list of dicts."""
+        doc = asdict(self)
+        doc["per_class"] = list(doc["per_class"])
+        return doc
 
     def metric_cells(self) -> list[str]:
         """The five headline metrics, as the text tables print them."""

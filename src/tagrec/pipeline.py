@@ -17,12 +17,14 @@ ranker calls are made one after another, on its own thread.
 
 Each record is generated, retrieved and re-ranked on one thread, the
 caller's or a record worker's, which takes records from a shared queue
-until none is left.  A worker stops at the first :class:`ConfigError`, so
-an embedder of the wrong width is asked once per worker (up to twice the
-ranker's cap by default) before the run fails.  Retrieval scores only the
-query's nonzero dimensions (see :mod:`tagrec.retrieval`), which for
-hash-bag queries costs about a tenth of a millisecond at 5,000 tags, so it
-needs no thread of its own.
+until none is left or the run stops.  It stops at the first
+:class:`ConfigError`, so an embedder of the wrong width is asked about once
+per worker (up to twice the ranker's cap by default) before the run fails,
+and when the caller leaves, as on ``KeyboardInterrupt``: each worker ends
+the record it holds and is joined before the exception goes on.  Retrieval
+scores only the query's nonzero dimensions (see :mod:`tagrec.retrieval`),
+which for hash-bag queries costs about a tenth of a millisecond at 5,000
+tags, so it needs no thread of its own.
 
 Per-record failures never abort a run: records missing a stored generation
 are counted as skips, other per-record errors are counted as failures, and
@@ -171,14 +173,15 @@ def run_records(
     scan = index if isinstance(index, IndexScan) else IndexScan(index)
     lock = threading.Lock()
     queue = iter(records)
+    stop = threading.Event()
 
     def take() -> NumeralRecord | None:
         with lock:
-            return next(queue, None)
+            return None if stop.is_set() else next(queue, None)
 
     def work() -> list:
-        """Process records on this thread until none is left, or until one
-        raises a ConfigError."""
+        """Process records on this thread until none is left or the run
+        stops; a ConfigError stops it."""
         done: list = []
         for record in iter(take, None):
             try:
@@ -191,6 +194,7 @@ def run_records(
             except MissingGenerationError as exc:
                 outcome = "skipped", str(exc)
             except ConfigError:
+                stop.set()
                 raise
             except Exception as exc:
                 outcome = "failed", str(exc)
@@ -201,10 +205,12 @@ def run_records(
     if workers <= 1:
         outcomes = work()
     else:
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="tagrec-record") as pool:
-            futures = [pool.submit(work) for _ in range(workers)]
-        outcomes = [o for f in futures for o in f.result()]
+        with ThreadPoolExecutor(workers, thread_name_prefix="tagrec-record") as pool:
+            try:
+                futures = [pool.submit(work) for _ in range(workers)]
+                outcomes = [o for f in futures for o in f.result()]
+            finally:  # however the caller leaves, no worker takes another
+                stop.set()
 
     predictions: list[dict] = []
     traces: list[dict] = []

@@ -48,6 +48,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .backends import checked_vectors
 from .corpus import NumeralRecord, TaxonomyCorpus
 from .errors import BackendError, ConfigError
 
@@ -167,15 +168,12 @@ class VectorIndex:
 
 
 def _embed(call, n: int, what: str) -> np.ndarray:
-    """``call()``'s vectors for ``n`` texts, or a BackendError naming ``what``."""
+    """``call()``'s vectors for ``n`` texts, checked, or a BackendError
+    naming ``what``."""
     try:
-        vecs = np.asarray(call())
+        return checked_vectors(call(), n, "embedder")
     except Exception as exc:
         raise BackendError(f"embedding failed for {what}: {exc}") from exc
-    if vecs.ndim != 2 or vecs.shape[0] != n:
-        raise BackendError(
-            f"embedder returned shape {vecs.shape} for {n} texts")
-    return vecs
 
 
 def embedder_id_of(embedder: EmbedderBackend) -> str:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import BackendRequest, RankRequest
-from .errors import BackendError, integer
+from .errors import BackendError, integer, number
 from .rerank import RerankConfig, derive_seed, rerank_record
 from .retrieval import Candidate
 
@@ -65,10 +65,10 @@ class OracleSpec:
             raise ValueError(f"kind must be one of "
                              f"{[e.value for e in OracleKind]}, got {self.kind!r}")
         if self.kind is OracleKind.NOISY:
-            rate = self.error_rate
-            if isinstance(rate, (bool, type(None))) or not 0.0 <= rate <= 1.0:
+            if self.error_rate is None:
                 raise ValueError("noisy oracle requires error_rate in [0, 1]")
-            object.__setattr__(self, "error_rate", float(rate))  # 1 as 1.0
+            object.__setattr__(self, "error_rate",  # 1 as 1.0
+                               number("error_rate", self.error_rate, 0, 1))
         elif self.error_rate is not None:
             raise ValueError("error_rate is only valid for the noisy oracle")
 

@@ -224,8 +224,10 @@ def test_c09_determinism_and_replay(tmp_path, ten_tag_corpus):
         predictions = tmp_path / f"{tag}.predictions.jsonl"
         traces = tmp_path / f"{tag}.traces.jsonl"
         predictions.write_text("".join(jsonl_line(p)
-                                       for p in result.predictions))
-        traces.write_text("".join(jsonl_line(t) for t in result.traces))
+                                       for p in result.predictions),
+                               encoding="utf-8")
+        traces.write_text("".join(jsonl_line(t) for t in result.traces),
+                          encoding="utf-8")
         return predictions, traces, inner, ranker
 
     preds_a, traces_a, inner_a, _ = one_run("first")
@@ -255,6 +257,6 @@ def test_c10_end_to_end_fixture(tmp_path):
         "--dataset", str(dataset), "--out", str(report_path),
     ])
     assert code == 0
-    report = json.loads(report_path.read_text())
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["hits_at_1"] == 1.0
     assert report["macro_f1"] == 1.0

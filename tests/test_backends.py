@@ -295,13 +295,14 @@ class TestHashEmbedderBatches:
         list(emb.embed_batches(batches))  # nothing is kept between calls
         assert sorted(hashed) == ["a", "a", "b", "b", "c", "c"]
 
-    def test_a_one_text_batch_is_hashed_token_by_token(self):
+    def test_a_one_text_batch_takes_the_batch_path(self):
+        """A query hashes each distinct token once, from an empty table,
+        and gets the bits it gets among other texts."""
         emb = HashEmbedder(dim=16)
         hashed = counting_buckets(emb)
         got = emb.embed_batch(["a d d"])
-        assert hashed == ["a", "d", "d"]
+        assert sorted(hashed) == ["a", "d"]
         [_, in_a_build] = emb.embed_batches([["a b", "d"], ["a d d"]])
-        assert hashed[-3:] == ["a", "d", "d"]
         want = HashEmbedder(dim=16).embed_batch(["a d d", "x"])[:1]
         for vectors in (got, in_a_build):
             assert np.array_equal(vectors.view(np.int64), want.view(np.int64))
@@ -515,6 +516,22 @@ class TestHttpRanker:
         with pytest.raises(BackendError, match="malformed"):
             ranker.rank_listwise(RankRequest(prompt="p"))
 
+    def test_a_reply_that_is_not_text_is_refused_before_it_is_cached(
+            self, tmp_path):
+        """A null content was once returned and stored, and the next call
+        found a damaged entry."""
+        session = FakeSession([FakeResponse(200, chat_payload(None)),
+                               FakeResponse(200, chat_payload(7))])
+        cached = CachingRanker(
+            HttpChatRanker("m1", "http://api.test/v1", session=session,
+                           retry=FAST_RETRY), ResponseCache(tmp_path / "cache"))
+        for _ in range(2):
+            with pytest.raises(BackendError,
+                               match="^ranker: malformed chat response$"):
+                cached.rank_listwise(RankRequest(prompt="p"))
+        assert len(session.calls) == 2
+        assert cached.cache.stats()["entries"] == 0
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_attempts": 0}, "max_attempts"),
         ({"base_delay": -0.5}, "delay"),
@@ -558,7 +575,7 @@ class TestHttpRanker:
             max(want, 3.0)
 
     def test_a_bool_temperature_is_refused(self):
-        with pytest.raises(ValueError, match="^temperature must be finite, "
+        with pytest.raises(ValueError, match="^temperature must be a number, "
                                              "got True$"):
             HttpChatRanker("m1", "http://api.test/v1", session=FakeSession([]),
                            temperature=True)
@@ -641,6 +658,21 @@ class TestHttpEmbedder:
         assert vecs[0].tolist() == [1.0, 0.0]
         body = session.calls[0]["json"]
         assert body == {"model": "e1", "input": ["a", "b"]}
+
+    @pytest.mark.parametrize("embedding", [0.5, [], "abc", {"x": 1}],
+                             ids=["number", "empty", "text", "object"])
+    def test_a_reply_that_is_no_batch_of_vectors_is_not_cached(
+            self, tmp_path, embedding):
+        """Numbers and empty lists once passed and were stored with shape
+        (2,) or (2, 0), failing every later run until the cache was cleared."""
+        payload = {"data": [{"embedding": embedding}] * 2}
+        cached = CachingEmbedder(
+            HttpEmbedder("e1", "http://api.test/v1", retry=FAST_RETRY,
+                         session=FakeSession([FakeResponse(200, payload)])),
+            ResponseCache(tmp_path / "cache"))
+        with pytest.raises(BackendError, match="^embedder: reply "):
+            cached.embed_batch(["a", "b"])
+        assert cached.cache.stats()["entries"] == 0
 
     def test_count_mismatch_rejected(self):
         payload = {"data": [{"embedding": [1.0, 0.0]}]}
@@ -1026,9 +1058,12 @@ class TestCachingEmbedder:
 
     @pytest.mark.parametrize("response, error", [
         ("{not json", "JSONDecodeError"),
-        ('"text"', "ValueError"),
-        ("[[1.0], [2.0, 3.0]]", "ValueError"),
-        ('{"vectors": 1}', "TypeError"),
+        ('"text"', "BackendError"),
+        ("[[1.0], [2.0, 3.0]]", "BackendError"),
+        ('{"vectors": 1}', "BackendError"),
+        ("[0.5, 0.5]", "BackendError"),
+        ("[[], []]", "BackendError"),
+        ("[[1.0], [2.0], [3.0]]", "BackendError"),
     ])
     def test_a_damaged_hit_is_named_with_its_remedy(self, tmp_path, response,
                                                    error):

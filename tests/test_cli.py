@@ -160,7 +160,8 @@ class TestEmbedIndex:
     def test_cache_dir_serves_a_rebuild(self, workspace, embedding_session):
         tmp, taxonomy, _ = workspace
         config = tmp / "embed.json"
-        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
+                          encoding="utf-8")
         argv = ("embed-index", "--config", config, "--taxonomy", taxonomy,
                 "--index", tmp / "tags.idx", "--cache-dir", tmp / "cache",
                 "--force")
@@ -177,7 +178,8 @@ class TestEmbedIndex:
         service = FakeEmbeddingService(script={TEN_TAGS[0][1]: ["nan"]})
         monkeypatch.setattr("requests.Session", lambda: service)
         config = tmp / "embed.json"
-        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
+                          encoding="utf-8")
         assert run_cli("embed-index", "--config", config, "--taxonomy",
                        taxonomy, "--index", tmp / "tags.idx", "--cache-dir",
                        tmp / "cache") == 2
@@ -201,7 +203,8 @@ class TestEmbedIndex:
             key=key, response=json.dumps(vectors), created_at=0.0,
             backend_id="http-embedder:e"))
         config = tmp / "embed.json"
-        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
+                          encoding="utf-8")
         assert run_cli("embed-index", "--config", config, "--taxonomy",
                        taxonomy, "--index", tmp / "tags.idx", "--cache-dir",
                        tmp / "cache") == 2
@@ -225,15 +228,17 @@ class TestRun:
             "--seed", 3,
         )
         assert code == 0
-        lines = [json.loads(l) for l in predictions.read_text().splitlines()]
+        lines = [json.loads(l) for l in
+                 predictions.read_text(encoding="utf-8").splitlines()]
         assert len(lines) == 5
         assert all(l["predicted_tag_id"] == l["gold_tag_id"] for l in lines)
         assert all(l["gold_in_top_k"] for l in lines)
-        trace_lines = [json.loads(l) for l in traces.read_text().splitlines()]
+        trace_lines = [json.loads(l) for l in
+                       traces.read_text(encoding="utf-8").splitlines()]
         assert len(trace_lines) == 5
         assert trace_lines[0]["total_rounds"] == 8
         manifest = json.loads(
-            (tmp / "preds.jsonl.manifest.json").read_text())
+            (tmp / "preds.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["backend_ids"]["ranker"] == "oracle:perfect"
         assert manifest["seed"] == 3
         out = capsys.readouterr().out
@@ -256,7 +261,7 @@ class TestRun:
                        "--ranker", "perfect", "--predictions-out", predictions)
         assert code == 0
         assert "skipped=1" in capsys.readouterr().out
-        assert len(predictions.read_text().splitlines()) == 2
+        assert len(predictions.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_each_skipped_or_failed_record_is_named_with_its_reason(
             self, tmp_path, capsys, monkeypatch):
@@ -290,7 +295,7 @@ class TestRun:
         assert run_cli(*argv) == 0
         assert capsys.readouterr().err == ""
         entry = sorted((tmp / "cache").glob("*/*/*.json"))[0]
-        entry.write_text("{not json")
+        entry.write_text("{not json", encoding="utf-8")
         assert run_cli(*argv) == 0
         captured = capsys.readouterr()
         assert "failed=1" in captured.out
@@ -319,7 +324,8 @@ class TestRun:
         assert first.read_bytes() == second.read_bytes()
         assert (tmp / "a.jsonl.traces").read_bytes() == \
             (tmp / "b.jsonl.traces").read_bytes()
-        manifest = json.loads((tmp / "b.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp / "b.jsonl.manifest.json").read_text(
+            encoding="utf-8"))
         ranker_stats = manifest["cache"]["ranker"]
         assert ranker_stats["hits"] == ranker_stats["requests"] > 0
 
@@ -346,12 +352,12 @@ class TestRun:
             "embedder": "hash:32",
             "iterations": 2,
             "predictions_out": str(tmp / "from_config.jsonl"),
-        }))
+        }), encoding="utf-8")
         code = run_cli("run", "--config", config, "--iterations", 4)
         assert code == 0
         traces_free_preds = tmp / "from_config.jsonl"
         manifest = json.loads(
-            (tmp / "from_config.jsonl.manifest.json").read_text())
+            (tmp / "from_config.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["settings"]["iterations"] == 4  # flag wins
         assert traces_free_preds.exists()
 
@@ -365,7 +371,8 @@ class TestRun:
     def test_unknown_config_key_rejected(self, workspace, capsys):
         tmp, taxonomy, dataset = workspace
         config = tmp / "bad.json"
-        config.write_text(json.dumps({"taxnomy": str(taxonomy)}))
+        config.write_text(json.dumps({"taxnomy": str(taxonomy)}),
+                          encoding="utf-8")
         assert run_cli("run", "--config", config) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
@@ -395,7 +402,7 @@ class TestRun:
             "taxonomy": str(taxonomy), "dataset": str(dataset),
             "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
             key: value,
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config) == 2
         assert message in capsys.readouterr().err
         assert not (tmp / "p.jsonl").exists()
@@ -437,9 +444,10 @@ class TestRun:
             "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
             "index": None, "cache_dir": None, "concurrency": None,
             "trace_out": None, "instruction_path": None,
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config) == 0
-        manifest = json.loads((tmp / "p.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp / "p.jsonl.manifest.json").read_text(
+            encoding="utf-8"))
         assert manifest["settings"]["concurrency"] is None
 
     @pytest.mark.parametrize("flag, spec", [
@@ -475,7 +483,8 @@ class TestRun:
         (tmp / "adir").mkdir()
         predictions = tmp / "preds.jsonl"
         predictions.write_text(json.dumps({"record_id": "r000",
-                                           "predicted_tag_id": "Revenues"}))
+                                           "predicted_tag_id": "Revenues"}),
+                               encoding="utf-8")
         inputs = ["--taxonomy", taxonomy, "--dataset", dataset,
                   "--ranker", "perfect", "--index", tmp / "tags.idx"]
         argv = {
@@ -531,7 +540,7 @@ class TestRun:
         tmp, taxonomy, dataset = workspace
         monkeypatch.chdir(tmp)
         (tmp / "link.jsonl").symlink_to(dataset)
-        (tmp / "run.json").write_text(json.dumps({"seed": 1}))
+        (tmp / "run.json").write_text(json.dumps({"seed": 1}), encoding="utf-8")
         inputs = ["--config", "run.json", "--taxonomy", "taxonomy.jsonl",
                   "--dataset", "dataset.jsonl", "--ranker", "perfect"]
         inputs = {"run": inputs, "sweep": inputs, "embed-index": inputs[:4],
@@ -575,7 +584,8 @@ class TestRun:
             bad.write_bytes(content)
         predictions = tmp / "preds.jsonl"
         predictions.write_text(json.dumps({"record_id": "r000",
-                                           "predicted_tag_id": "Revenues"}))
+                                           "predicted_tag_id": "Revenues"}),
+                               encoding="utf-8")
         inputs = ["--taxonomy", taxonomy, "--dataset", dataset,
                   "--ranker", "perfect"]
         argv = {
@@ -656,7 +666,7 @@ class TestRun:
             "taxonomy": str(taxonomy), "dataset": str(dataset),
             "index": str(index_path), "ranker": "perfect",
             "embedder": HTTP_EMBEDDER, "predictions_out": str(tmp / "p.jsonl"),
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config) == 2
         err = capsys.readouterr().err
         assert "32-dimensional" in err and "64-dimensional" in err
@@ -695,7 +705,8 @@ class TestRun:
         assert run_cli("embed-index", "--taxonomy", taxonomy, "--index",
                        tmp / "tags.idx", "--embedder", "hash:32") == 0
         config = tmp / "embedder.json"
-        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}))
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
+                          encoding="utf-8")
         assert self._on_index(workspace, "run", "--config", config) == 2
         assert capsys.readouterr().err.endswith(
             "was built by embedder 'hash-embedder:dim=32', not "
@@ -750,11 +761,12 @@ class TestRun:
                        "base_url": "http://ranker.invalid/v1",
                        "rate_limit": {"max_in_flight": 2}},
             "predictions_out": str(tmp / "p.jsonl"),
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config) == 0
         assert FakeSession.calls == 5 * 8 * 2
         assert FakeSession.peak == 2
-        preds = [json.loads(x) for x in (tmp / "p.jsonl").read_text().splitlines()]
+        preds = [json.loads(x) for x in
+                 (tmp / "p.jsonl").read_text(encoding="utf-8").splitlines()]
         assert len(preds) == 5
 
     def test_manifests_of_a_cached_http_run_and_an_uncached_oracle_run(
@@ -779,7 +791,7 @@ class TestRun:
         config.write_text(json.dumps({
             "embedder": HTTP_EMBEDDER,
             "ranker": {**HTTP_RANKER, "rate_limit": {"max_in_flight": 2}},
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config, "--taxonomy", taxonomy,
                        "--dataset", dataset, "--cache-dir", tmp / "cache",
                        "--predictions-out", tmp / "http.jsonl") == 0
@@ -788,7 +800,8 @@ class TestRun:
                        "--predictions-out", tmp / "oracle.jsonl") == 0
 
         def manifest(name):
-            text = (tmp / f"{name}.jsonl.manifest.json").read_text()
+            text = (tmp / f"{name}.jsonl.manifest.json").read_text(
+                encoding="utf-8")
             return json.loads(text.replace(str(tmp), "<tmp>"))
 
         def settings(**changed):
@@ -836,7 +849,7 @@ class TestRun:
             "ranker": {"kind": "http", "model": "m",
                        "base_url": "http://ranker.invalid/v1",
                        "rate_limit": {"max_in_flight": 0}},
-        }))
+        }), encoding="utf-8")
         assert run_cli("run", "--config", config) == 2
         assert "max_in_flight" in capsys.readouterr().err
 
@@ -851,7 +864,7 @@ class TestMalformedBackendSpecs:
             "taxonomy": str(taxonomy), "dataset": str(dataset),
             "ranker": "perfect", "predictions_out": str(tmp / "p.jsonl"),
             **specs,
-        }))
+        }), encoding="utf-8")
         return run_cli("run", "--config", config)
 
     @pytest.mark.parametrize("role, spec", [
@@ -917,7 +930,7 @@ class TestMalformedBackendSpecs:
 
 class TestEvaluate:
     def _write_predictions(self, path, triples):
-        with path.open("w") as fh:
+        with path.open("w", encoding="utf-8") as fh:
             for record_id, predicted in triples:
                 fh.write(json.dumps({"record_id": record_id,
                                      "predicted_tag_id": predicted}) + "\n")
@@ -935,7 +948,7 @@ class TestEvaluate:
         code = run_cli("evaluate", "--predictions", preds,
                        "--dataset", dataset, "--out", out_path)
         assert code == 0
-        report = json.loads(out_path.read_text())
+        report = json.loads(out_path.read_text(encoding="utf-8"))
         assert report["hits_at_1"] == pytest.approx(2 / 3, abs=1e-9)
         out = capsys.readouterr().out
         assert "Hits@1" in out and "0.6667" in out
@@ -959,13 +972,13 @@ class TestEvaluate:
         out_path = tmp_path / "report.json"
         assert run_cli("evaluate", "--predictions", preds,
                        "--dataset", dataset, "--out", out_path) == 0
-        report = json.loads(out_path.read_text())
+        report = json.loads(out_path.read_text(encoding="utf-8"))
         assert report["macro_f1"] == 0.4
 
     def test_empty_predictions_file(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path / "data.jsonl", make_records(2))
         preds = tmp_path / "preds.jsonl"
-        preds.write_text("")
+        preds.write_text("", encoding="utf-8")
         assert run_cli("evaluate", "--predictions", preds,
                        "--dataset", dataset) == 2
         assert "no prediction lines" in capsys.readouterr().err
@@ -991,7 +1004,7 @@ class TestEvaluate:
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps({"record_id": "r000",
                                      "predicted_tag_id": "Revenues"})
-                         + "\n" + line + "\n")
+                         + "\n" + line + "\n", encoding="utf-8")
         assert run_cli("evaluate", "--predictions", preds,
                        "--dataset", dataset) == 2
         assert f"error: {preds}{where}" in capsys.readouterr().err
@@ -1008,7 +1021,7 @@ class TestSweep:
             "--out", out_path,
         )
         assert code == 0
-        table = json.loads(out_path.read_text())
+        table = json.loads(out_path.read_text(encoding="utf-8"))
         assert len(table["cells"]) == 13
         text = capsys.readouterr().out
         assert text.count("\n") >= 14  # header + rule + 13 rows
@@ -1072,7 +1085,8 @@ class TestSweep:
             ranker=OracleRanker(OracleSpec(OracleKind.LEXICAL, seed=4)),
             template=RerankConfig(seed=4), instruction=default_instruction(),
             axis=axis, values=values)
-        assert json.loads((tmp / "sweep.json").read_text()) == table.to_dict()
+        assert json.loads((tmp / "sweep.json").read_text(
+            encoding="utf-8")) == table.to_dict()
         assert capsys.readouterr().out.startswith(table.render_text() + "\n")
 
     def test_a_dataset_without_gold_exits_2_before_any_record_runs(
@@ -1125,7 +1139,7 @@ class TestSimulate:
         code = run_cli("simulate", "--oracle", "perfect", "--trials", 200,
                        "--seed", 1, "--out", out_path)
         assert code == 0
-        summary = json.loads(out_path.read_text())
+        summary = json.loads(out_path.read_text(encoding="utf-8"))
         assert summary["recovery_rate"] >= 0.95
         assert summary["oracle"] == "perfect"
         assert json.loads(capsys.readouterr().out)["trials"] == 200
@@ -1277,7 +1291,7 @@ class TestCache:
                                                   command, specs):
         tmp, taxonomy, dataset = workspace
         config = tmp / "run.json"
-        config.write_text(json.dumps(specs))
+        config.write_text(json.dumps(specs), encoding="utf-8")
         argv = {"run": ["--dataset", dataset],
                 "sweep": ["--dataset", dataset, "--axis", "iterations",
                           "--values", "1"],
@@ -1291,7 +1305,7 @@ class TestCache:
     def test_a_cache_dir_that_is_a_file_exits_2(self, workspace, capsys,
                                                 no_backend_calls, command):
         tmp, taxonomy, dataset = workspace
-        (tmp / "cache").write_text("")
+        (tmp / "cache").write_text("", encoding="utf-8")
         argv = {"run": ["--dataset", dataset, "--ranker", "perfect",
                         "--predictions-out", tmp / "p.jsonl"],
                 "embed-index": ["--index", tmp / "x.idx"]}[command]

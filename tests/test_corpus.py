@@ -31,28 +31,29 @@ def test_load_taxonomy_duplicate_tag(tmp_path):
 
 def test_load_taxonomy_empty_file(tmp_path):
     path = tmp_path / "tax.jsonl"
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     with pytest.raises(CorpusError, match="no tag documents"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_malformed_line_reports_number(tmp_path):
     path = tmp_path / "tax.jsonl"
-    path.write_text('{"tag_id": "T1", "text": "ok"}\nnot json\n')
+    path.write_text('{"tag_id": "T1", "text": "ok"}\nnot json\n',
+                    encoding="utf-8")
     with pytest.raises(CorpusError, match=":2:"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_missing_field(tmp_path):
     path = tmp_path / "tax.jsonl"
-    path.write_text('{"tag_id": "T1"}\n')
+    path.write_text('{"tag_id": "T1"}\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="text"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_blank_text_rejected(tmp_path):
     path = tmp_path / "tax.jsonl"
-    path.write_text('{"tag_id": "T1", "text": "   "}\n')
+    path.write_text('{"tag_id": "T1", "text": "   "}\n', encoding="utf-8")
     with pytest.raises(CorpusError):
         load_taxonomy(path)
 
@@ -96,7 +97,7 @@ def test_load_dataset_rejects_missing_numeral(tmp_path):
     path.write_text(json.dumps({
         "record_id": "r7", "report_text": "Revenue was 5 .", "numeral": "7",
         "question": "q", "gold_tag_id": None, "gen_tag_doc": None,
-    }) + "\n")
+    }) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="r7"):
         load_dataset(path)
 
@@ -107,7 +108,7 @@ def test_load_dataset_names_a_bad_line_once(tmp_path, field):
     obj = {"record_id": "r1", "report_text": "was 5 .", "numeral": "5",
            "question": "q"}
     del obj[field]
-    path.write_text(json.dumps(obj) + "\n")
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as info:
         load_dataset(path)
     assert str(info.value).count(f"{path}:1") == 1
@@ -120,7 +121,7 @@ def test_load_dataset_unknown_gold_tag(tmp_path):
     path.write_text(json.dumps({
         "record_id": "r1", "report_text": "was 5 .", "numeral": "5",
         "question": "q", "gold_tag_id": "NoSuchTag", "gen_tag_doc": None,
-    }) + "\n")
+    }) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="NoSuchTag"):
         load_dataset(path, corpus)
     # without a corpus the gold tag is not checked

@@ -18,10 +18,13 @@ def test_demo_runs(demo, tmp_path):
     # TMPDIR: demo 05 makes its scratch directory there, and removes it.
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    env = dict(os.environ, TMPDIR=str(tmpdir))
+    # A text file or pipe opened without an encoding fails the demo, as
+    # it fails a test under CI's -X warn_default_encoding.
+    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONWARNDEFAULTENCODING="1",
+               PYTHONWARNINGS="error::EncodingWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert list(tmpdir.iterdir()) == []

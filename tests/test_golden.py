@@ -143,7 +143,8 @@ def _avx2_x86_64() -> bool:
     if platform.machine() not in ("x86_64", "AMD64"):
         return False
     try:
-        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+        return "avx2" in cpuinfo.split()
     except OSError:
         return False
 
@@ -173,7 +174,7 @@ def test_outputs_are_the_same_under_other_blas_kernels(tmp_path):
                "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
         done = subprocess.run([sys.executable, "-c", _UNDER_KERNEL,
                                str(tmp_path / kernel)], env=env, cwd=tests,
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, encoding="utf-8", timeout=300)
         assert done.returncode == 0, done.stderr
         runs[kernel] = json.loads(done.stdout.splitlines()[-1])
     assert {run["digest"] for run in runs.values()} == {GOLDEN_DIGEST}

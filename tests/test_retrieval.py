@@ -345,7 +345,8 @@ class TestOverlappedBuild:
         texts = [doc.text for doc in ten_tag_corpus.docs]
         key = embedder.inner.request_of(texts[8:10]).cache_key()
         embedder.embed_batch(texts[8:10])
-        next((tmp_path / "cache").glob(f"*/*/{key}.json")).write_text("{")
+        next((tmp_path / "cache").glob(f"*/*/{key}.json")).write_text(
+            "{", encoding="utf-8")
         with pytest.raises(BackendError, match="batch starting at tag "
                                                "'InterestExpense'"):
             build_index(ten_tag_corpus, embedder, batch_size=2)
