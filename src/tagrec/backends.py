@@ -53,7 +53,6 @@ from .errors import BackendError, CacheConflictError, CacheEntryError, \
 
 __all__ = [
     "BackendRequest",
-    "CacheEntry",
     "ResponseCache",
     "GenerateRequest",
     "RankRequest",
@@ -108,14 +107,6 @@ class BackendRequest:
         return hashlib.sha256(self.canonical()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    response: str
-    created_at: float
-    backend_id: str
-
-
 _NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 
@@ -155,15 +146,16 @@ class ResponseCache:
             f"cache entry {self._dir(key)}/{key}.json is damaged "
             f"({type(exc).__name__}: {exc}); `tagrec cache clear` removes it")
 
-    def get(self, key: str) -> CacheEntry | None:
+    def get(self, key: str) -> str | None:
+        """The reply stored under ``key``, or None if it has no entry."""
         try:
             with open(f"{self._dir(key)}/{key}.json", "rb") as fh:
                 doc = json.loads(fh.read().decode("utf-8"))
-            if not isinstance(doc["response"], str):
-                raise TypeError(f"response is {type(doc['response']).__name__}")
-            return CacheEntry(key=doc["key"], response=doc["response"],
-                              created_at=doc["created_at"],
-                              backend_id=doc["backend_id"])
+            if not isinstance(response := doc["response"], str):
+                raise TypeError(f"response is {type(response).__name__}")
+            if missing := {"key", "created_at", "backend_id"} - doc.keys():
+                raise KeyError(", ".join(sorted(missing)))
+            return response
         except FileNotFoundError:
             return None
         # ValueError covers UnicodeDecodeError and json.JSONDecodeError.
@@ -174,17 +166,18 @@ class ResponseCache:
         """Whether ``key`` has an entry, told without reading it."""
         return os.path.exists(f"{self._dir(key)}/{key}.json")
 
-    def put(self, entry: CacheEntry) -> None:
-        parent = self._dir(entry.key)
+    def put(self, key: str, response: str, backend_id: str) -> None:
+        """Store ``response`` under ``key``, stamped with the time now."""
+        parent = self._dir(key)
         data = json.dumps({
-            "key": entry.key,
-            "response": entry.response,
-            "created_at": entry.created_at,
-            "backend_id": entry.backend_id,
+            "key": key,
+            "response": response,
+            "created_at": time.time(),
+            "backend_id": backend_id,
         }, ensure_ascii=False).encode("utf-8")
         # A name of this writer's own beside the entry, so the link below
         # stays on one file system.
-        tmp = f"{parent}/{entry.key}.{os.urandom(8).hex()}.tmp"
+        tmp = f"{parent}/{key}.{os.urandom(8).hex()}.tmp"
         try:
             fd = os.open(tmp, _NEW_FILE, 0o600)
         except FileNotFoundError:  # the entry's directory is made on demand
@@ -196,17 +189,17 @@ class ResponseCache:
                 view = view[os.write(fd, view):]
             # Exclusive create of the complete file: of several writers of
             # one key exactly one links, and the others compare with it.
-            os.link(tmp, f"{parent}/{entry.key}.json")
+            os.link(tmp, f"{parent}/{key}.json")
             return
         except FileExistsError:
-            existing = self.get(entry.key)
+            existing = self.get(key)
         finally:
             os.close(fd)
             os.unlink(tmp)
         # None: a clear() came in between, and the entry stays cleared.
-        if existing is not None and existing.response != entry.response:
+        if existing is not None and existing != response:
             raise CacheConflictError(
-                f"cache key {entry.key} already stores different content"
+                f"cache key {key} already stores different content"
             )
 
     def stats(self) -> dict:
@@ -233,7 +226,7 @@ class GenerateRequest:
     """One generation call: the assembled input plus the record's stored text."""
 
     record_id: str
-    text: str
+    prompt: str
     stored_gen_doc: str | None = None
 
 
@@ -507,9 +500,8 @@ class _HttpBackend:
 class _HttpChat(_HttpBackend):
     """A chat-completions backend: the request's prompt as the user message.
 
-    Each subclass sets its ``role`` and cache ``kind`` and defines
-    ``_prompt``, which picks the prompt out of its request type.  The cache
-    key holds every input that changes the reply: the prompt, the model, the
+    Each subclass sets its ``role`` and cache ``kind``.  The cache key holds
+    every input that changes the reply: the prompt, the model, the
     temperature, and the system prompt when one is sent.
     """
 
@@ -523,14 +515,14 @@ class _HttpChat(_HttpBackend):
         params = (("temperature", repr(self.temperature)),)
         if self.system:
             params += (("system", self.system),)
-        return BackendRequest(kind=self.kind, payload=self._prompt(request),
+        return BackendRequest(kind=self.kind, payload=request.prompt,
                               model_id=self.model, params=params)
 
     def _complete(self, request) -> str:
         messages = []
         if self.system:
             messages.append({"role": "system", "content": self.system})
-        messages.append({"role": "user", "content": self._prompt(request)})
+        messages.append({"role": "user", "content": request.prompt})
         body = {"model": self.model, "messages": messages,
                 "temperature": self.temperature}
         doc = self._json(self.post("/chat/completions", body))
@@ -548,9 +540,6 @@ class HttpChatGenerator(_HttpChat):
 
     role, kind = "generator", "generate"
 
-    def _prompt(self, request: GenerateRequest) -> str:
-        return request.text
-
     def generate(self, request: GenerateRequest) -> str:
         return self._complete(request)
 
@@ -563,9 +552,6 @@ class HttpChatRanker(_HttpChat):
     """
 
     role, kind = "ranker", "rank"
-
-    def _prompt(self, request: RankRequest) -> str:
-        return request.prompt
 
     def rank_listwise(self, request: RankRequest) -> str:
         return self._complete(request)
@@ -703,18 +689,16 @@ class _CachingBase:
     def _cached_call(self, request: BackendRequest, call) -> str:
         key = request.cache_key()
         with self._turns_of([key]):
-            entry = self.cache.get(key)
-            if entry is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
                 self.counter.record(hit=True)
-                return entry.response
+                return cached
             response = call()
             self._store(key, response)
             return response
 
     def _store(self, key: str, response: str) -> None:
-        self.cache.put(CacheEntry(key=key, response=response,
-                                  created_at=time.time(),
-                                  backend_id=self.inner.backend_id))
+        self.cache.put(key, response, self.inner.backend_id)
         self.counter.record(hit=False)
 
 
@@ -766,10 +750,10 @@ class CachingEmbedder(_CachingBase):
                 for key, texts in zip(keys, batches):
                     if misses.pop(key, None) is not None:
                         vectors = next(replies)
-                    elif (entry := self.cache.get(key)) is not None:
+                    elif (cached := self.cache.get(key)) is not None:
                         self.counter.record(hit=True)
                         try:
-                            vectors = checked_vectors(json.loads(entry.response),
+                            vectors = checked_vectors(json.loads(cached),
                                                       len(texts),
                                                       f"cache entry {key}")
                         except (ValueError, BackendError) as exc:

@@ -108,29 +108,22 @@ def _nameable(path: str) -> bool:
         return False
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as integer setting ``key``: a flag's decimal string is
-    parsed, and any other value is checked by :func:`integer`, which
-    refuses a bool or a float, so a fraction is never cut off."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    return integer(key, value)
+def _from_text(parse, check):
+    """A converter of a setting's value: a string (a flag, or the arg of a
+    ``kind:arg`` spec) is parsed by ``parse``, and any other value checked by
+    ``check``, which refuses a bool where ``int`` or ``float`` would take it."""
+    def convert(key: str, value):
+        if isinstance(value, str):
+            try:
+                return parse(value)
+            except ValueError:
+                pass
+        return check(key, value)
+    return convert
 
 
-def _number(key: str, value) -> float:
-    """``value`` as number setting ``key``: a string, such as the arg of a
-    ``kind:arg`` spec, is parsed, and any other value is checked by
-    :func:`number`, which refuses a bool where plain ``float`` would take
-    ``true`` as 1.0."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    return number(key, value)
+_integer = _from_text(int, integer)
+_number = _from_text(float, number)
 
 
 def _convert(key: str, value):

@@ -42,11 +42,7 @@ def integer(name: str, value, low: int | None = None,
     given; otherwise a ValueError naming setting ``name``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if high is not None and not low <= value <= high:
-        raise ValueError(f"{name} must be from {low} to {high}, got {value}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return value
+    return _in_range(name, value, value, low, high)
 
 
 def number(name: str, value, low: float | None = None,
@@ -62,8 +58,13 @@ def number(name: str, value, low: float | None = None,
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(as_float):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if high is not None and not low <= as_float <= high:
+    return _in_range(name, value, as_float, low, high)
+
+
+def _in_range(name: str, value, compared, low, high):
+    """``compared`` (``value`` as checked) if from ``low`` to ``high``."""
+    if high is not None and not low <= compared <= high:
         raise ValueError(f"{name} must be from {low} to {high}, got {value!r}")
-    if low is not None and as_float < low:
+    if low is not None and compared < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return as_float
+    return compared

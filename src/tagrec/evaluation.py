@@ -44,6 +44,8 @@ class PredictionSet:
     items: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self) -> None:
+        if not self.items:
+            raise ValueError("prediction set is empty")
         seen: set[str] = set()
         for record_id, gold, predicted in self.items:
             if record_id in seen:
@@ -109,16 +111,12 @@ def render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def hits_at_1(preds: PredictionSet) -> float:
     """Fraction of records whose prediction equals the gold tag."""
-    if not preds.items:
-        raise ValueError("prediction set is empty")
     correct = sum(1 for _, gold, predicted in preds.items if gold == predicted)
     return correct / len(preds.items)
 
 
 def macro_metrics(preds: PredictionSet) -> tuple[float, float, float, tuple[ClassStats, ...]]:
     """Unweighted per-class precision/recall/F1 means over the gold universe."""
-    if not preds.items:
-        raise ValueError("prediction set is empty")
     gold_count = Counter(g for _, g, _ in preds.items)
     pred_count = Counter(p for _, _, p in preds.items)
     hit_count = Counter(g for _, g, p in preds.items if g == p)

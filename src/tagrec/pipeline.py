@@ -85,16 +85,12 @@ class RunResult:
     failed: list[dict]
 
     @property
-    def fallback_count(self) -> int:
-        return sum(len(trace["fallback_events"]) for trace in self.traces)
-
-    @property
     def counts(self) -> dict:
         return {
             "predicted": len(self.predictions),
             "skipped": len(self.skipped),
             "failed": len(self.failed),
-            "fallbacks": self.fallback_count,
+            "fallbacks": sum(len(t["fallback_events"]) for t in self.traces),
         }
 
     def gold_in_top_k_rate(self) -> float | None:
@@ -105,7 +101,7 @@ class RunResult:
         return sum(1 for p in scored if p["gold_in_top_k"]) / len(scored)
 
     def prediction_set(self) -> PredictionSet:
-        """Gold-bearing predictions as an evaluable set."""
+        """Gold-bearing predictions as an evaluable set (a ValueError if none)."""
         items = tuple(
             (p["record_id"], p["gold_tag_id"], p["predicted_tag_id"])
             for p in self.predictions

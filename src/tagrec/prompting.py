@@ -61,8 +61,8 @@ def assemble_generation_input(instruction: str,
     """Join instruction, report text, and question with single newlines."""
     if not instruction:
         raise ValueError("instruction must be non-empty")
-    text = instruction + "\n" + record.report_text + "\n" + record.question
-    return GenerateRequest(record_id=record.record_id, text=text,
+    prompt = instruction + "\n" + record.report_text + "\n" + record.question
+    return GenerateRequest(record_id=record.record_id, prompt=prompt,
                            stored_gen_doc=record.gen_tag_doc)
 
 

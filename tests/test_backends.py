@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import requests
 
-from tagrec.backends import BackendRequest, CacheEntry, CachingEmbedder, \
+from tagrec.backends import BackendRequest, CachingEmbedder, \
     CachingGenerator, CachingRanker, FileBackedGenerator, GenerateRequest, \
     HashEmbedder, HttpChatGenerator, HttpChatRanker, HttpEmbedder, \
     RankRequest, RateLimiter, ResponseCache, RetryPolicy, generate
@@ -47,11 +47,8 @@ class TestBackendRequest:
 class TestResponseCache:
     def test_put_then_get_round_trips(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
-        entry = CacheEntry(key="ab" * 32, response="hello", created_at=1.0,
-                           backend_id="test")
-        cache.put(entry)
-        got = cache.get(entry.key)
-        assert got is not None and got.response == "hello"
+        cache.put("ab" * 32, "hello", "test")
+        assert cache.get("ab" * 32) == "hello"
 
     def test_get_before_put_absent(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
@@ -60,14 +57,11 @@ class TestResponseCache:
     def test_conflicting_content_rejected(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         key = "ef" * 32
-        cache.put(CacheEntry(key=key, response="one", created_at=1.0,
-                             backend_id="t"))
+        cache.put(key, "one", "t")
         # identical content re-put is a no-op
-        cache.put(CacheEntry(key=key, response="one", created_at=9.0,
-                             backend_id="t"))
+        cache.put(key, "one", "t")
         with pytest.raises(CacheConflictError):
-            cache.put(CacheEntry(key=key, response="two", created_at=1.0,
-                                 backend_id="t"))
+            cache.put(key, "two", "t")
 
     @pytest.mark.parametrize("content, error", [
         (b'{"key": "\xff"}', "UnicodeDecodeError"),
@@ -81,24 +75,22 @@ class TestResponseCache:
                                                      content, error):
         """By ``get``, and by ``put`` when it compares with the entry."""
         cache = ResponseCache(tmp_path / "cache")
-        entry = CacheEntry(key="ab" * 32, response="r", created_at=0.0,
-                           backend_id="t")
-        cache.put(entry)
-        path = tmp_path / "cache" / "ab" / "ab" / f"{entry.key}.json"
+        key = "ab" * 32
+        cache.put(key, "r", "t")
+        path = tmp_path / "cache" / "ab" / "ab" / f"{key}.json"
         path.write_bytes(content)
         message = re.escape(f"cache entry {path} is damaged ({error}: ") + \
             ".*" + re.escape("); `tagrec cache clear` removes it")
         with pytest.raises(CacheEntryError, match=message):
-            cache.get(entry.key)
+            cache.get(key)
         with pytest.raises(CacheEntryError, match=message):
-            cache.put(entry)
+            cache.put(key, "r", "t")
         assert path.read_bytes() == content
 
     def test_two_level_layout_and_stats(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         key = BackendRequest(kind="rank", payload="x", model_id="m").cache_key()
-        cache.put(CacheEntry(key=key, response="r", created_at=0.0,
-                             backend_id="t"))
+        cache.put(key, "r", "t")
         expected = tmp_path / "cache" / key[:2] / key[2:4] / f"{key}.json"
         assert expected.exists()
         stats = cache.stats()
@@ -109,8 +101,7 @@ class TestResponseCache:
         for i in range(3):
             key = BackendRequest(kind="rank", payload=str(i),
                                  model_id="m").cache_key()
-            cache.put(CacheEntry(key=key, response="r", created_at=0.0,
-                                 backend_id="t"))
+            cache.put(key, "r", "t")
         assert cache.clear() == 3
         assert cache.stats()["entries"] == 0
 
@@ -123,8 +114,7 @@ class TestResponseCache:
 
         def writer():
             try:
-                cache.put(CacheEntry(key=key, response="same bytes",
-                                     created_at=0.0, backend_id="t"))
+                cache.put(key, "same bytes", "t")
             except Exception as exc:
                 errors.append(exc)
 
@@ -136,7 +126,7 @@ class TestResponseCache:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert cache.get(key).response == "same bytes"
+        assert cache.get(key) == "same bytes"
         assert cache.stats()["entries"] == 1
 
     def test_concurrent_writers_of_different_content(self, tmp_path):
@@ -151,8 +141,7 @@ class TestResponseCache:
         def writer(i):
             start.wait()
             try:
-                cache.put(CacheEntry(key=key, response=f"reply {i}",
-                                     created_at=0.0, backend_id="t"))
+                cache.put(key, f"reply {i}", "t")
             except CacheConflictError as exc:
                 conflicts.append(exc)
 
@@ -169,7 +158,7 @@ class TestResponseCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(conflicts) == 7
-        assert cache.get(key).response in {f"reply {i}" for i in range(8)}
+        assert cache.get(key) in {f"reply {i}" for i in range(8)}
         assert cache.stats()["entries"] == 1
         assert list((tmp_path / "cache").rglob("*.tmp")) == []
 
@@ -182,8 +171,7 @@ class TestResponseCache:
         def writer(key):
             start.wait()
             try:
-                cache.put(CacheEntry(key=key, response=key, created_at=0.0,
-                                     backend_id="t"))
+                cache.put(key, key, "t")
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -200,7 +188,7 @@ class TestResponseCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert [cache.get(k).response for k in keys] == keys
+        assert [cache.get(k) for k in keys] == keys
         assert sorted(p.name for p in (tmp_path / "cache" / "ab" / "cd").iterdir()) \
             == sorted(f"{k}.json" for k in keys)
 
@@ -215,8 +203,7 @@ class TestResponseCache:
             linked.append((src, os.stat(src).st_mode & 0o777))
             link(src, dst)
         monkeypatch.setattr(os, "link", recording_link)
-        cache.put(CacheEntry(key=key, response="r", created_at=0.0,
-                             backend_id="t"))
+        cache.put(key, "r", "t")
         [(tmp, mode)] = linked
         assert re.fullmatch(rf".*/cache/dd/dd/{key}\.[0-9a-f]{{16}}\.tmp", tmp)
         assert mode == 0o600  # as tempfile.mkstemp made it
@@ -226,8 +213,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path / "cache")
         reads = []
         monkeypatch.setattr(cache, "get", lambda key: reads.append(key))
-        cache.put(CacheEntry(key="cc" * 32, response="r", created_at=0.0,
-                             backend_id="t"))
+        cache.put("cc" * 32, "r", "t")
         assert reads == []
 
 
@@ -379,7 +365,7 @@ HTTP_REPLIES = {HttpChatGenerator: chat_payload("doc"),
 def call_once(backend):
     """One call of the backend's own kind."""
     if isinstance(backend, HttpChatGenerator):
-        return backend.generate(GenerateRequest(record_id="r", text="t"))
+        return backend.generate(GenerateRequest(record_id="r", prompt="t"))
     if isinstance(backend, HttpChatRanker):
         return backend.rank_listwise(RankRequest(prompt="p"))
     return backend.embed_batch(["t"])
@@ -603,7 +589,7 @@ class TestHttpGenerator:
         session = FakeSession([FakeResponse(200, chat_payload("a tag doc"))])
         gen = HttpChatGenerator("g1", "http://api.test/v1", session=session,
                                 retry=FAST_RETRY)
-        out = gen.generate(GenerateRequest(record_id="r", text="input"))
+        out = gen.generate(GenerateRequest(record_id="r", prompt="input"))
         assert out == "a tag doc"
         assert session.calls[0]["json"]["messages"][-1]["content"] == "input"
 
@@ -626,7 +612,7 @@ def chat_key(cls, request, model="m1", system=None):
 class TestChatCacheKeys:
     @pytest.mark.parametrize("cls,request_", [
         (HttpChatRanker, RankRequest(prompt="rank these")),
-        (HttpChatGenerator, GenerateRequest(record_id="r", text="input")),
+        (HttpChatGenerator, GenerateRequest(record_id="r", prompt="input")),
     ])
     def test_system_prompt_changes_the_key(self, cls, request_):
         keys = {chat_key(cls, request_, system=system)
@@ -639,7 +625,7 @@ class TestChatCacheKeys:
         assert chat_key(HttpChatRanker, RankRequest(prompt="rank these")) \
             == PINNED_KEYS["rank"]
         assert chat_key(HttpChatGenerator,
-                        GenerateRequest(record_id="r", text="input"),
+                        GenerateRequest(record_id="r", prompt="input"),
                         model="g1") == PINNED_KEYS["generate"]
         embedder = HttpEmbedder("e1", "http://api.test/v1",
                                 session=FakeSession([]))
@@ -1070,8 +1056,7 @@ class TestCachingEmbedder:
         cache = ResponseCache(tmp_path / "cache")
         inner = Float32Embedder()
         key = inner.request_of(["a", "b"]).cache_key()
-        cache.put(CacheEntry(key=key, response=response, created_at=0.0,
-                             backend_id=inner.backend_id))
+        cache.put(key, response, inner.backend_id)
         path = tmp_path / "cache" / key[:2] / key[2:4] / f"{key}.json"
         message = re.escape(f"cache entry {path} is damaged ({error}: ") + \
             ".*" + re.escape("); `tagrec cache clear` removes it")
@@ -1127,7 +1112,7 @@ class CountingGenerator:
         self.calls = 0
 
     def request_of(self, request):
-        return BackendRequest(kind="generate", payload=request.text,
+        return BackendRequest(kind="generate", payload=request.prompt,
                               model_id="counting")
 
     def generate(self, request):
@@ -1140,7 +1125,7 @@ class TestCachingGenerator:
         cache = ResponseCache(tmp_path / "cache")
         first_inner = CountingGenerator()
         first = CachingGenerator(first_inner, cache)
-        req = GenerateRequest(record_id="r1", text="assembled input")
+        req = GenerateRequest(record_id="r1", prompt="assembled input")
         text = first.generate(req)
         assert first_inner.calls == 1
 

@@ -192,16 +192,15 @@ class TestEmbedIndex:
                                                    embedding_session):
         """A cache entry is checked as a fresh reply is: older caches may
         hold NaN, which the reply check once let through."""
-        from tagrec.backends import CacheEntry, HttpEmbedder, ResponseCache
+        from tagrec.backends import HttpEmbedder, ResponseCache
         tmp, taxonomy, _ = workspace
         texts = [text for _, text in TEN_TAGS]
         key = HttpEmbedder("e", HTTP_EMBEDDER["base_url"]) \
             .request_of(texts).cache_key()
         vectors = [[0.5] * 32 for _ in texts]
         vectors[3][7] = float("nan")
-        ResponseCache(tmp / "cache").put(CacheEntry(
-            key=key, response=json.dumps(vectors), created_at=0.0,
-            backend_id="http-embedder:e"))
+        ResponseCache(tmp / "cache").put(key, json.dumps(vectors),
+                                         "http-embedder:e")
         config = tmp / "embed.json"
         config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
                           encoding="utf-8")

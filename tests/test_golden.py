@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tagrec.backends import CacheEntry, CachingRanker, FileBackedGenerator, \
-    HashEmbedder, ResponseCache
+import tagrec.backends
+from tagrec.backends import CachingRanker, FileBackedGenerator, HashEmbedder, \
+    ResponseCache
 from tagrec.corpus import NumeralRecord, TagDocument, TaxonomyCorpus
 from tagrec.pipeline import jsonl_line, run_records
 from tagrec.prompting import default_instruction
@@ -110,11 +111,11 @@ def test_rerank_outputs_and_cache_entries_are_pinned(tmp_path):
     assert golden_digest(tmp_path) == GOLDEN_DIGEST
 
 
-def test_cache_entry_file_bytes_are_pinned(tmp_path):
+def test_cache_entry_file_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(tagrec.backends.time, "time", lambda: 1760000000.125)
     cache = ResponseCache(tmp_path / "cache")
     key = hashlib.sha256(b"pinned entry").hexdigest()
-    cache.put(CacheEntry(key=key, response='[2] > [1] "caf\u00e9"\n\\ \u2603',
-                         created_at=1760000000.125, backend_id="oracle:lexical"))
+    cache.put(key, '[2] > [1] "caf\u00e9"\n\\ \u2603', "oracle:lexical")
     path = tmp_path / "cache" / key[:2] / key[2:4] / f"{key}.json"
     expected = (
         '{"key": "' + key + '", "response": "[2] > [1] \\"caf\u00e9\\"\\n\\\\ '

@@ -21,14 +21,14 @@ class TestAssemble:
         rec = NumeralRecord(record_id="r1", report_text="R", numeral="R",
                             question="Q")
         out = assemble_generation_input("P", rec)
-        assert out.text == "P\nR\nQ"
+        assert out.prompt == "P\nR\nQ"
         assert out.record_id == "r1"
 
     def test_internal_newlines_preserved(self):
         rec = NumeralRecord(record_id="r1", report_text="line1\nline2 5",
                             numeral="5", question="Q")
         out = assemble_generation_input("P1\nP2", rec)
-        assert out.text == "P1\nP2\nline1\nline2 5\nQ"
+        assert out.prompt == "P1\nP2\nline1\nline2 5\nQ"
 
     def test_empty_instruction_rejected(self):
         with pytest.raises(ValueError):
