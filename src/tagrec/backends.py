@@ -202,8 +202,14 @@ class ResponseCache:
                 f"cache key {key} already stores different content"
             )
 
+    def _entries(self) -> list[Path]:
+        """The entry files: ``<k[:2]>/<k[2:4]>/<k>.json`` for a key ``k`` of
+        64 lowercase hex digits, and no other file under the root."""
+        return [p for p in self.root.glob(f"*/*/{'[0-9a-f]' * 64}.json")
+                if (p.parent.parent.name, p.parent.name) == (p.stem[:2], p.stem[2:4])]
+
     def stats(self) -> dict:
-        entries = list(self.root.glob("*/*/*.json"))
+        entries = self._entries()
         return {
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
@@ -211,7 +217,7 @@ class ResponseCache:
         }
 
     def clear(self) -> int:
-        entries = list(self.root.glob("*/*/*.json"))
+        entries = self._entries()
         for p in entries:
             p.unlink()
         return len(entries)

@@ -88,6 +88,7 @@ def _read_text(path, what: str) -> str:
 
 
 def _load_config_file(path: str) -> dict:
+    _check_path("config", path)
     try:
         doc = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
@@ -100,12 +101,16 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _nameable(path: str) -> bool:
-    """Whether ``path`` encodes to file system bytes with no NUL among them."""
+def _check_path(key: str, path) -> None:
+    """A ConfigError unless ``path`` encodes to file system bytes with no
+    NUL among them."""
     try:
-        return b"\0" not in os.fsencode(path)
+        if b"\0" not in os.fsencode(path):
+            return
     except UnicodeEncodeError:
-        return False
+        pass
+    raise ConfigError(f"{key} must be a path with no NUL character or "
+                      f"lone surrogate, got {path!r}")
 
 
 def _from_text(parse, check):
@@ -145,9 +150,8 @@ def _convert(key: str, value):
         if key == "concurrency":  # checked before any work, not at the run
             _check_concurrency(value)
         return value
-    if kind is str and isinstance(value, str) and not _nameable(value):
-        raise ConfigError(f"{key} must be a path with no NUL character or "
-                          f"lone surrogate, got {value!r}")
+    if kind is str and isinstance(value, str):
+        _check_path(key, value)
     if isinstance(value, str) or (kind is BACKEND and isinstance(value, dict)):
         return value
     expected = "a backend spec string or object" if kind is BACKEND else "a string"
@@ -198,7 +202,8 @@ def _reads(args: argparse.Namespace, settings: dict, *keys) -> dict:
 
 
 def _check_outputs(reads: dict, **writes) -> None:
-    """A ConfigError naming the first of ``writes`` that cannot be written.
+    """A ConfigError naming the first of ``reads`` and ``writes`` that is no
+    path, or of ``writes`` that cannot be written.
 
     Outputs are written after the work, so each is checked before it: its
     directory must exist, it must not be a directory itself, and it must
@@ -206,6 +211,9 @@ def _check_outputs(reads: dict, **writes) -> None:
     index file passes these checks, so a run's ``index`` is checked
     whenever it is given.
     """
+    for key, path in (*reads.items(), *writes.items()):
+        if path:
+            _check_path(key, path)
     owners = {Path(path).resolve(): key for key, path in reads.items() if path}
     for key, path in writes.items():
         if not path:
@@ -328,10 +336,16 @@ def _build(role: str, spec, seed: int = 0):
 
 
 def _backends(settings: dict, *roles) -> list:
-    """Each role's backend of its setting; with a ``cache_dir``, one that
-    builds cache keys in its role's caching class.  The cache is made after
-    every backend is built, so a bad spec leaves no cache directory."""
-    built = [_build(role, settings[role], settings["seed"]) for role in roles]
+    """Each role's backend of its setting, cached by :func:`_cached`."""
+    return _cached(settings, roles, [_build(role, settings[role],
+                                            settings["seed"]) for role in roles])
+
+
+def _cached(settings: dict, roles, built: list) -> list:
+    """``built``, the backends of ``roles``; with a ``cache_dir``, each one
+    that builds cache keys in its role's caching class.  The cache is made
+    here, after every backend is built, so a bad spec leaves no cache
+    directory."""
     try:
         cache = settings["cache_dir"] and be.ResponseCache(settings["cache_dir"])
     except OSError as exc:  # a file in its place, or no permission
@@ -346,43 +360,48 @@ def _backends(settings: dict, *roles) -> list:
 # Index handling
 
 
-def _load_or_build_index(settings: dict, corpus, embedder) -> VectorIndex:
-    """The ``index`` file if it exists, else a fresh build saved there; a
-    file that another embedder or taxonomy built is a ConfigError."""
+def _prebuilt_index(settings: dict, corpus, embedder) -> VectorIndex | None:
+    """The ``index`` file if it exists; a file that another embedder or
+    taxonomy built is a ConfigError."""
     index_path = settings.get("index")
-    if index_path and Path(index_path).exists():
-        try:
-            index = VectorIndex.load(index_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"index {index_path} cannot be loaded: "
-                              f"{exc}") from None
-        if index.embedder_id != embedder_id_of(embedder):
-            raise ConfigError(
-                f"index {index_path} was built by embedder "
-                f"{index.embedder_id!r}, not {embedder_id_of(embedder)!r} "
-                "(rebuild with embed-index)")
-        if index.corpus_sha256 != corpus.sha256:
-            raise ConfigError(
-                f"index {index_path} does not match the taxonomy "
-                "(rebuild with embed-index)"
-            )
-        return index
-    index = build_index(corpus, embedder)
-    if index_path:
-        index.save(index_path)
-        print(f"built and saved index: {index_path}", file=sys.stderr)
+    if not (index_path and Path(index_path).exists()):
+        return None
+    try:
+        index = VectorIndex.load(index_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"index {index_path} cannot be loaded: "
+                          f"{exc}") from None
+    if index.embedder_id != embedder_id_of(embedder):
+        raise ConfigError(
+            f"index {index_path} was built by embedder "
+            f"{index.embedder_id!r}, not {embedder_id_of(embedder)!r} "
+            "(rebuild with embed-index)")
+    if index.corpus_sha256 != corpus.sha256:
+        raise ConfigError(
+            f"index {index_path} does not match the taxonomy "
+            "(rebuild with embed-index)"
+        )
     return index
 
 
-def _pipeline_inputs(settings: dict, *, need_gold: bool = False):
-    """Corpus, records, backends (cached if configured) and index of a run."""
+def _pipeline_inputs(settings: dict, top_k: int, *, need_gold: bool = False):
+    """Corpus, records, backends (cached if configured) and index of a run;
+    ``top_k`` and a prebuilt index are checked before the cache is made."""
     corpus = load_taxonomy(_require_path(settings, "taxonomy"))
     records = load_dataset(_require_path(settings, "dataset"), corpus)
     if need_gold and all(record.gold_tag_id is None for record in records):
         raise ConfigError("no gold-bearing records to evaluate")
-    generator, embedder, ranker = _backends(settings, "generator",
-                                            "embedder", "ranker")
-    index = _load_or_build_index(settings, corpus, embedder)
+    if top_k > len(corpus):
+        raise ConfigError(f"top_k={top_k} exceeds the index size {len(corpus)}")
+    roles = ("generator", "embedder", "ranker")
+    built = [_build(role, settings[role], settings["seed"]) for role in roles]
+    index = _prebuilt_index(settings, corpus, built[1])
+    generator, embedder, ranker = _cached(settings, roles, built)
+    if index is None:
+        index = build_index(corpus, embedder)
+        if settings["index"]:
+            index.save(settings["index"])
+            print(f"built and saved index: {settings['index']}", file=sys.stderr)
     return corpus, records, generator, embedder, ranker, index
 
 
@@ -443,7 +462,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _rerank_config(settings)
     instruction = _instruction_text(settings)
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
-        settings)
+        settings, config.top_k)
 
     result = run_records(
         records, corpus, index, generator=generator, embedder=embedder,
@@ -530,7 +549,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--values {value}: {exc}") from None
     corpus, records, generator, embedder, ranker, index = _pipeline_inputs(
-        settings, need_gold=True)
+        settings, template.top_k, need_gold=True)
 
     table = run_sweep(
         records, corpus, index, generator=generator, embedder=embedder,

@@ -146,12 +146,15 @@ class OracleRanker:
 
     def request_of(self, request: RankRequest) -> BackendRequest:
         # Oracles see gold and group structure, so those join the cache key
-        # (unlike remote rankers, whose replies depend on the prompt alone).
+        # (unlike remote rankers, whose replies depend on the prompt alone),
+        # and so does the seed of the noisy oracle's draws.
         payload = _REQUEST_JSON.encode(
             {"prompt": request.prompt, "record_id": request.record_id,
              "items": list(request.items), "gold": request.gold_tag_id})
+        params = ((("seed", str(self.spec.seed)),)
+                  if self.spec.kind is OracleKind.NOISY else ())
         return BackendRequest(kind="rank", payload=payload,
-                              model_id=self.backend_id)
+                              model_id=self.backend_id, params=params)
 
     def rank_listwise(self, request: RankRequest) -> str:
         if not request.items:

@@ -105,6 +105,25 @@ class TestResponseCache:
         assert cache.clear() == 3
         assert cache.stats()["entries"] == 0
 
+    def test_clear_and_stats_touch_only_entry_files(self, tmp_path):
+        """Any JSON file two levels down once counted, and clear deleted it."""
+        cache = ResponseCache(tmp_path / "cache")
+        key = "abcd" + "0" * 60
+        cache.put(key, "r", "t")
+        foreign = [tmp_path / "cache" / name for name in (
+            "docs/api/schema.json", "ab/cd/notes.json",
+            f"ef/01/{key}.json",  # a key's name in another key's directory
+            f"ab/cd/{key.upper()}.json", f"ab/cd/{key}0.json")]
+        for path in foreign:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}", encoding="utf-8")
+        assert cache.stats()["entries"] == 1
+        assert cache.stats()["bytes"] == \
+            (tmp_path / "cache" / "ab" / "cd" / f"{key}.json").stat().st_size
+        assert cache.clear() == 1
+        assert cache.get(key) is None
+        assert all(path.read_text(encoding="utf-8") == "{}" for path in foreign)
+
     def test_concurrent_writers_of_same_key(self, tmp_path):
         import threading
 

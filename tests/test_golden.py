@@ -74,7 +74,9 @@ def _masked_entries(root) -> list[bytes]:
     return out
 
 
-GOLDEN_DIGEST = "48d1db6251aa8087b6d73109b16e4ca4a1b330a00dba4d6ca181c6699804bdcf"
+# Moved from 48d1db62… when the noisy oracle's cache key took its seed: only
+# the noisy entries' names and "key" fields changed, not one output or reply.
+GOLDEN_DIGEST = "f5addd6a64f8e7b0c899dd2c992058ddb937e527e156a7f67a3e7df64edbaf8c"
 
 
 def golden_digest(tmp_path) -> str:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagrec.backends import RankRequest
+from tagrec.backends import CachingRanker, RankRequest, ResponseCache
 from tagrec.rerank import RerankConfig
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec, oracle_rank, \
     recovery_experiment, retrieval_like_weights, synthetic_candidates
@@ -133,6 +133,35 @@ class TestOracleRankerBackend:
         ranker = OracleRanker(OracleSpec(OracleKind.IDENTITY_ECHO))
         with pytest.raises(Exception, match="structured"):
             ranker.rank_listwise(RankRequest(prompt="p"))
+
+    REQUEST = RankRequest(prompt="p", gen_doc="g", items=tuple(group_of(3)),
+                          record_id="r", gold_tag_id="t1")
+
+    def test_the_noisy_key_holds_the_seed_that_draws_its_noise(self):
+        keys = {OracleRanker(OracleSpec(OracleKind.NOISY, error_rate=0.3,
+                                        seed=seed)).request_of(self.REQUEST)
+                .cache_key() for seed in range(6)}
+        assert len(keys) == 6
+
+    @pytest.mark.parametrize("kind", [k for k in OracleKind
+                                      if k is not OracleKind.NOISY])
+    def test_an_oracle_that_ignores_the_seed_keys_without_it(self, kind):
+        requests = {OracleRanker(OracleSpec(kind, seed=seed))
+                    .request_of(self.REQUEST) for seed in range(3)}
+        assert [request.params for request in requests] == [()]
+
+    def test_a_cache_warmed_at_one_seed_answers_another_as_uncached(
+            self, tmp_path):
+        """Seed 2 once read seed 0's cached reply for the same request."""
+        def ranker(seed):
+            return OracleRanker(OracleSpec(OracleKind.NOISY, error_rate=0.3,
+                                           seed=seed))
+        uncached = ranker(2).rank_listwise(self.REQUEST)
+        assert ranker(0).rank_listwise(self.REQUEST) != uncached
+        cache = ResponseCache(tmp_path / "cache")
+        CachingRanker(ranker(0), cache).rank_listwise(self.REQUEST)
+        assert CachingRanker(ranker(2), cache).rank_listwise(self.REQUEST) \
+            == uncached
 
 
 class TestRecoveryExperiment:
