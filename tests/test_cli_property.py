@@ -11,8 +11,9 @@ http backends aimed at a closed local port with one attempt each, so no
 network is needed.
 
 Some values are never drawn where they would start unbounded work; each is
-named where its pool is built.  Such a value is only ever checked where
-nothing is started, in ``tests/test_settings.py``.
+named where its pool is built.  Such a value is checked only where nothing
+is started: by the CLI's converters and backend builders here, and by the
+constructors in ``tests/test_settings.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tagrec.backends import HashEmbedder
-from tagrec.cli import main
+from tagrec.cli import SETTINGS, _build, _convert, main
+from tagrec.errors import ConfigError
 from tagrec.corpus import load_taxonomy
 from tagrec.retrieval import build_index
 
@@ -139,17 +141,16 @@ def setting_values(files, url, command):
     def either(working, others=POOL):
         return st.one_of(st.sampled_from(working), st.sampled_from(others))
 
-    def path(*working):
+    def path(*working, inputs=(files["taxonomy"], files["dataset"])):
         return either(list(working), [
-            "sub/out.jsonl", ".", "missing.jsonl", str(files["taxonomy"]),
-            str(files["dataset"]), *POOL])
+            "sub/out.jsonl", ".", "missing.jsonl", *map(str, inputs), *POOL])
     bounded = pool_without(BIG) + [64, "4"]
     return {
         "taxonomy": path(str(files["taxonomy"])),
         "dataset": path(str(files["dataset"])),
-        # Not the prebuilt input for embed-index, whose --force replaces it.
-        "index": path("tags.idx", *([str(files["index"])]
-                                    if command != "embed-index" else [])),
+        # embed-index --force replaces any file it does not read.
+        "index": path("tags.idx", inputs=(files["taxonomy"],))
+        if command == "embed-index" else path("tags.idx", str(files["index"])),
         "cache_dir": path("cache", str(files["cache"])),
         "instruction_path": path(str(files["instruction"])),
         "trace_out": path("traces.jsonl"),
@@ -284,4 +285,41 @@ def test_every_input_exits_0_1_or_2_and_an_error_makes_nothing(inputs, data):
             made -= {"cache"}
         assert not made, said
     assert inputs_of(base) == before_inputs, (argv, doc)
+    assert threading.active_count() == threads
+
+
+# Each backend object's keys that take a number or an integer, as
+# (role, spec, key), with ``group.key`` for a key of a nested object.
+HTTP = {"kind": "http", "model": "m", "base_url": "http://x.test/v1"}
+SPEC_KEYS = [
+    ("embedder", {"kind": "hash"}, "dim"),
+    ("ranker", {"kind": "noisy", "error_rate": 0.5}, "error_rate"),
+    ("embedder", HTTP, "timeout"),
+    ("generator", HTTP, "temperature"),
+    *[("ranker", {**HTTP, "retry": {}}, f"retry.{key}")
+      for key in ("max_attempts", "base_delay", "factor", "max_delay")],
+    *[("ranker", {**HTTP, "rate_limit": {}}, f"rate_limit.{key}")
+      for key in ("max_in_flight", "min_interval")],
+]
+
+
+def test_every_pool_value_converts_or_is_a_config_error():
+    """2**70 among them, where no run may take it: each setting and each
+    backend key takes a value or refuses it, and nothing is started."""
+    threads = threading.active_count()
+    for key in SETTINGS:
+        for value in POOL:
+            try:
+                _convert(key, value)
+            except ConfigError:
+                pass
+    for role, spec, key in SPEC_KEYS:
+        for value in POOL:
+            doc = json.loads(json.dumps(spec))
+            group, _, name = key.rpartition(".")
+            (doc[group] if group else doc)[name] = value
+            try:
+                _build(role, doc)
+            except ConfigError:
+                pass
     assert threading.active_count() == threads
