@@ -20,8 +20,8 @@ from .prompting import RankingReply, assemble_generation_input, \
     build_rerank_prompt, parse_ranking_reply
 from .rerank import Ordering, RerankConfig, RerankTrace, VoteMode, VoteTally, \
     partition_into_groups, rank_group, rerank_record
-from .retrieval import Candidate, IndexScan, VectorIndex, build_index, \
-    retrieve, top_k
+from .retrieval import Candidate, VectorIndex, build_index, retrieve, \
+    top_k
 from .sim import OracleKind, OracleRanker, OracleSpec, oracle_rank, \
     recovery_experiment
 

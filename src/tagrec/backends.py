@@ -293,8 +293,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # No attempt at all would fail every call without sending it.
         integer("max_attempts", self.max_attempts, 1)
-        for name in ("base_delay", "factor", "max_delay"):
-            object.__setattr__(self, name, number(name, getattr(self, name), 0))
+        # max_delay caps every wait, which time.sleep must be able to make.
+        for name, high in (("base_delay", None), ("factor", None),
+                           ("max_delay", threading.TIMEOUT_MAX)):
+            object.__setattr__(self, name, number(name, getattr(self, name), 0, high))
 
     def delay(self, attempt: int, retry_after: float = 0.0) -> float:
         """The wait after failed attempt ``attempt`` (from 0) whose reply
@@ -307,7 +309,11 @@ class RetryPolicy:
 
 
 class RateLimiter:
-    """Caps in-flight requests and enforces a minimum inter-request gap."""
+    """Caps in-flight requests and enforces a minimum inter-request gap.
+
+    Each holder of a slot may queue one gap, so ``min_interval`` times the
+    cap must be a wait that ``time.sleep`` can make.
+    """
 
     # The cap sizes the http connection pool and the embedder's worker
     # pool, so it is bounded before either is built.
@@ -316,7 +322,8 @@ class RateLimiter:
     def __init__(self, max_in_flight: int = 4, min_interval: float = 0.0):
         self.max_in_flight = integer("max_in_flight", max_in_flight, 1,
                                      self.MAX_IN_FLIGHT)
-        self.min_interval = number("min_interval", min_interval, 0)
+        self.min_interval = number("min_interval", min_interval, 0,
+                                   threading.TIMEOUT_MAX / self.max_in_flight)
         self._sem = threading.Semaphore(max_in_flight)
         self._lock = threading.Lock()
         self._next_allowed = 0.0
@@ -433,7 +440,8 @@ class _HttpBackend:
     def __init__(self, model: str, base_url: str, *, retry: RetryPolicy | None = None,
                  limiter: RateLimiter | None = None, timeout: float = 60.0,
                  session=None, sleep=time.sleep):
-        self.timeout = number("timeout", timeout, 0)
+        # requests fails every call with a wait past TIMEOUT_MAX.
+        self.timeout = number("timeout", timeout, 0, threading.TIMEOUT_MAX)
         if self.timeout == 0:  # requests refuses it on every call
             raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.model = model

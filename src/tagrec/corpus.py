@@ -137,6 +137,19 @@ def _require_str(obj: dict, key: str, path: Path, lineno: int) -> str:
     return value
 
 
+def _rows(path: Path, id_key: str):
+    """Yield (line_number, parsed object, its ``id_key`` string) for each
+    non-blank line; an id seen on an earlier line is a CorpusError."""
+    seen: dict[str, int] = {}
+    for lineno, obj in _iter_jsonl(path):
+        row_id = _require_str(obj, id_key, path, lineno)
+        if row_id in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate {id_key} {row_id!r} "
+                              f"(first seen on line {seen[row_id]})")
+        seen[row_id] = lineno
+        yield lineno, obj, row_id
+
+
 def load_taxonomy(path: str | Path) -> TaxonomyCorpus:
     """Load the tag-document universe from a JSON-Lines file.
 
@@ -145,16 +158,8 @@ def load_taxonomy(path: str | Path) -> TaxonomyCorpus:
     """
     path = Path(path)
     docs: list[TagDocument] = []
-    seen: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        tag_id = _require_str(obj, "tag_id", path, lineno)
+    for lineno, obj, tag_id in _rows(path, "tag_id"):
         text = _require_str(obj, "text", path, lineno)
-        if tag_id in seen:
-            raise CorpusError(
-                f"{path}:{lineno}: duplicate tag_id {tag_id!r} "
-                f"(first seen on line {seen[tag_id]})"
-            )
-        seen[tag_id] = lineno
         try:
             docs.append(TagDocument(tag_id=tag_id, text=text))
         except CorpusError as exc:
@@ -177,15 +182,7 @@ def load_dataset(
     """
     path = Path(path)
     records: list[NumeralRecord] = []
-    seen_ids: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        record_id = _require_str(obj, "record_id", path, lineno)
-        if record_id in seen_ids:
-            raise CorpusError(
-                f"{path}:{lineno}: duplicate record_id {record_id!r} "
-                f"(first seen on line {seen_ids[record_id]})"
-            )
-        seen_ids[record_id] = lineno
+    for lineno, obj, record_id in _rows(path, "record_id"):
         gold = obj.get("gold_tag_id")
         gen_doc = obj.get("gen_tag_doc")
         if gold is not None and not isinstance(gold, str):

@@ -47,7 +47,7 @@ from .evaluation import PredictionSet, SweepAxis, SweepCell, SweepTable, \
     evaluate_predictions
 from .prompting import assemble_generation_input
 from .rerank import RerankConfig, derive_seed, rerank_record
-from .retrieval import EmbedderBackend, IndexScan, VectorIndex, retrieve
+from .retrieval import EmbedderBackend, VectorIndex, retrieve
 
 __all__ = [
     "MAX_CONCURRENCY",
@@ -133,7 +133,7 @@ def _reranked(record: NumeralRecord, gen_doc: str, candidates: list,
 def run_records(
     records: Sequence[NumeralRecord],
     corpus: TaxonomyCorpus,
-    index: VectorIndex | IndexScan,
+    index: VectorIndex,
     *,
     generator: GeneratorBackend,
     embedder: EmbedderBackend,
@@ -148,11 +148,8 @@ def run_records(
     to :data:`MAX_CONCURRENCY`; ``None`` takes twice the ranker's
     ``max_in_flight``, or 1 for a ranker without one.  The ranker's own
     limiter holds its calls in flight at that cap, and each record's calls
-    are made one after another.
-    A plain index is prepared for scanning (see :mod:`tagrec.retrieval`);
-    the worker pool and the scan are made once per call and dropped before
-    the call returns or raises.  Pass an :class:`IndexScan` in place of the
-    index to share one preparation across calls, as :func:`run_sweep` does.
+    are made one after another.  The worker pool is made once per call
+    and dropped before the call returns or raises.
     """
     if concurrency is None:
         cap = getattr(ranker, "max_in_flight", None)
@@ -166,7 +163,6 @@ def run_records(
     _check_concurrency(concurrency)
 
     corpus_texts = corpus.texts()
-    scan = index if isinstance(index, IndexScan) else IndexScan(index)
     lock = threading.Lock()
     queue = iter(records)
     stop = threading.Event()
@@ -183,7 +179,7 @@ def run_records(
             try:
                 gen_doc = generate(assemble_generation_input(instruction, record),
                                    generator)
-                candidates = retrieve(record, gen_doc, scan, embedder,
+                candidates = retrieve(record, gen_doc, index, embedder,
                                       config.top_k)
                 outcome = "ok", _reranked(record, gen_doc, candidates,
                                           corpus_texts, ranker, config)
@@ -251,20 +247,19 @@ def run_sweep(
     values: Sequence[object],
     concurrency: int | None = None,
 ) -> SweepTable:
-    """One pipeline evaluation per axis value, all on one :class:`IndexScan`.
+    """One pipeline evaluation per axis value.
 
     A failed cell is marked and the sweep goes on; a :class:`ConfigError` is
     systemic, as in :func:`run_records`, and aborts it.
     """
     if not values:
         raise ValueError("values must be non-empty")
-    scan = IndexScan(index)
     cells: list[SweepCell] = []
     for value in values:
         try:
             config = apply_axis(template, axis, value)
             result = run_records(
-                records, corpus, scan, generator=generator, embedder=embedder,
+                records, corpus, index, generator=generator, embedder=embedder,
                 ranker=ranker, config=config, instruction=instruction,
                 concurrency=concurrency,
             )

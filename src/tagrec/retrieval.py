@@ -11,29 +11,26 @@ the CPU, so its last bits, and with them traces and the order of near-ties,
 would change from one machine to another.  The scan adds the products of
 the query's nonzero dimensions only, in ``einsum``'s order (see
 :func:`_visiting_order`).  A hash-bag query has about 15 nonzero
-dimensions of 256 and costs about a seventh of ``einsum``'s time; a dense
-query costs about 2.3 times ``einsum``'s.
+dimensions of 256 and costs about a sixth of ``einsum``'s time over float64
+rows; a dense query costs about three times ``einsum``'s.
 
-The scan works on an :class:`IndexScan`: the index rows cast to float64,
-transposed, and their norms.  ``run_records`` builds one per call unless
-it is given one, and ``run_sweep`` one per sweep; each drops the scan it
-built when it returns, so the copy (twice the size of the float32 index)
-lives only while queries run.  It is not cached on :class:`VectorIndex`,
-where it would stay alive as long as the index does, across set-ups and
-idle time.  ``top_k`` also accepts a plain index and then builds a
-throwaway scan.
+The index stores its float32 rows column by column (Fortran order), so the
+scan reads each visited dimension of every row in place, as one contiguous
+float32 column, and widens it to float64 as it multiplies.  No copy of the
+index is made per query or per run; the rows' float64 norms are computed
+on first use and kept on the index.
 
 The index persists as a binary file of three blocks (little endian):
 
-    header:   b"TRIX", uint32 version 2, dim, count, JSON block's length
+    header:   b"TRIX", uint32 version 3, dim, count, JSON block's length
     JSON:     {"tag_ids": [...], "embedder_id": ..., "corpus_sha256": ...}
-    vectors:  count * dim float32 values, row by row
+    vectors:  count * dim float32 values, column by column
 
 The embedder's id and the taxonomy's digest name what built the index, so
 a caller can tell a stale one.
 Vectors are stored as float32, so a persisted index reloads bit-exactly.
-The index and its scans are not modified after build; ``top_k`` is
-read-only and safe for concurrent callers.
+The index is not modified after build; ``top_k`` is read-only and safe for
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import os
 import struct
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Protocol
 
@@ -55,7 +53,6 @@ from .errors import BackendError, ConfigError
 __all__ = [
     "Candidate",
     "VectorIndex",
-    "IndexScan",
     "EmbedderBackend",
     "build_index",
     "embedder_id_of",
@@ -94,29 +91,39 @@ def _as_vector(v) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-_SIGNATURE = b"TRIX" + struct.pack("<I", 2)  # magic and version
+_SIGNATURE = b"TRIX" + struct.pack("<I", 3)  # magic and version
 _HEADER = struct.Struct("<8s3I")  # signature, dim, count, JSON block's length
 
 
 @dataclass(frozen=True)
 class VectorIndex:
     """Embeddings of all taxonomy tag documents, in corpus order, and what
-    built them: the embedder's id and the taxonomy's digest, if known."""
+    built them: the embedder's id and the taxonomy's digest, if known.
+    A row without a cosine, one that is zero or not finite, is refused."""
 
     tag_ids: tuple[str, ...]
-    vectors: np.ndarray  # (count, dim) float32
+    vectors: np.ndarray  # (count, dim) float32, kept in Fortran order
     embedder_id: str | None = None
     corpus_sha256: str | None = None
 
+    # Rows per block of the norms: each row's norm is the same as over the
+    # whole matrix, and the float64 temporaries stay small.
+    BLOCK_ROWS = 256
+
     def __post_init__(self) -> None:
-        if self.vectors.ndim != 2:
+        vectors = np.asfortranarray(self.vectors, dtype=np.float32)
+        object.__setattr__(self, "vectors", vectors)
+        if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
-        if len(self.tag_ids) != self.vectors.shape[0]:
+        if len(self.tag_ids) != vectors.shape[0]:
             raise ValueError("one vector per tag_id required")
         if len(set(self.tag_ids)) != len(self.tag_ids):
             raise ValueError("tag_ids must be unique")
-        if not np.all(np.isfinite(self.vectors)):
+        if not np.all(np.isfinite(vectors)):
             raise ValueError("index vectors contain non-finite values")
+        if (zeros := np.flatnonzero(~vectors.any(axis=1))).size:
+            raise ValueError(f"index entry {self.tag_ids[zeros[0]]!r} "
+                             "has a zero vector")
 
     def __len__(self) -> int:
         return len(self.tag_ids)
@@ -124,6 +131,17 @@ class VectorIndex:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Each row's float64 norm, from row-major float64 copies of its
+        block: over column-major rows ``norm`` would add in another order."""
+        norms = np.empty(len(self))
+        for start in range(0, len(self), self.BLOCK_ROWS):
+            block = slice(start, start + self.BLOCK_ROWS)
+            norms[block] = np.linalg.norm(
+                self.vectors[block].astype(np.float64, order="C"), axis=1)
+        return norms
 
     def save(self, path: str | Path) -> None:
         """Write a temp file of its own beside ``path``, then move it there:
@@ -135,7 +153,7 @@ class VectorIndex:
             with open(tmp, "wb") as fh:
                 fh.write(_HEADER.pack(_SIGNATURE, self.dim, len(self), len(meta)))
                 fh.write(meta)
-                fh.write(np.ascontiguousarray(self.vectors, dtype="<f4"))  # no copy
+                fh.write(np.ascontiguousarray(self.vectors.T, dtype="<f4"))  # no copy
             os.replace(tmp, path)
         finally:
             Path(tmp).unlink(missing_ok=True)
@@ -145,7 +163,7 @@ class VectorIndex:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             if not _SIGNATURE.startswith(header[:len(_SIGNATURE)]):
-                raise ValueError(f"{path}: not a version-2 index file; "
+                raise ValueError(f"{path}: not a version-3 index file; "
                                  "rebuild with embed-index")
             if len(header) < _HEADER.size:
                 raise ValueError(f"{path}: truncated index file")
@@ -161,8 +179,8 @@ class VectorIndex:
                                                   meta["corpus_sha256"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: damaged index block: {exc!r}") from None
-            vectors = np.empty((count, dim), dtype="<f4")
-            if fh.readinto(vectors) != vectors.nbytes:  # shrunk since the check
+            vectors = np.empty((count, dim), dtype="<f4", order="F")
+            if fh.readinto(vectors.T) != vectors.nbytes:  # shrunk since the check
                 raise ValueError(f"{path}: truncated index file")
         return cls(tuple(ids), vectors.astype(np.float32, copy=False), *built_by)
 
@@ -208,16 +226,21 @@ def build_index(corpus: TaxonomyCorpus, embedder: EmbedderBackend,
             vecs = _embed(results.__next__, n,
                           f"batch starting at tag {ids[start]!r}")
             if vectors is None:
-                vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32)
+                vectors = np.empty((len(texts), vecs.shape[1]), dtype=np.float32,
+                                   order="F")
             elif vecs.shape[1] != vectors.shape[1]:
                 raise BackendError(
                     f"embedding dimension changed across batches: {vectors.shape[1]} "
                     f"then {vecs.shape[1]} (batch starting at tag {ids[start]!r})"
                 )
             vectors[start:start + n] = vecs
-    return VectorIndex(tuple(ids), vectors, embedder_id_of(embedder), corpus.sha256)
+    try:
+        return VectorIndex(tuple(ids), vectors, embedder_id_of(embedder), corpus.sha256)
+    except ValueError as exc:  # a zero row, or one that float32 overflows
+        raise BackendError(f"embedding failed: {exc}") from None
 
 
+@lru_cache
 def _visiting_order(dim: int) -> tuple[np.ndarray, int]:
     """The dimensions in the order ``_dots`` adds their products, and how
     many of them the first lane holds.
@@ -236,61 +259,30 @@ def _visiting_order(dim: int) -> tuple[np.ndarray, int]:
         block = [base + pair + lane for base in range(0, head, 8)
                  for pair in (6, 4, 2, 0)]
         lanes.append(block + list(range(head + lane, dim, 2)))
-    return np.array(lanes[0] + lanes[1], dtype=np.intp), len(lanes[0])
+    order = np.array(lanes[0] + lanes[1], dtype=np.intp)
+    order.flags.writeable = False  # shared by every caller
+    return order, len(lanes[0])
 
 
-class IndexScan:
-    """A :class:`VectorIndex` prepared for repeated ``top_k`` queries.
-
-    Holds the index as float64, transposed: ``columns[r]`` holds dimension
-    ``order[r]`` of every row, so a query touches only the dimensions where
-    it is nonzero.  Also holds each row's norm.  Build one per run or sweep
-    and let it go with it; see the module docstring.
-    """
-
-    # Rows per block of the fill: each row's norm is the same as over the
-    # whole matrix, and the float64 temporaries stay small.
-    BLOCK_ROWS = 256
-
-    def __init__(self, index: VectorIndex):
-        self.tag_ids = index.tag_ids
-        self.order, self.lane_split = _visiting_order(index.dim)
-        self.columns = np.empty((index.dim, len(index)))
-        self.norms = np.empty(len(index))
-        for start in range(0, len(index), self.BLOCK_ROWS):
-            block = slice(start, start + self.BLOCK_ROWS)
-            rows = index.vectors[block].astype(np.float64)
-            self.norms[block] = np.linalg.norm(rows, axis=1)
-            self.columns[:, block] = rows.T[self.order]
-        zeros = np.flatnonzero(self.norms == 0.0)
-        # Raised by each query, not here: run_records builds the scan outside
-        # its per-record error handling, and a bad row fails records, not runs.
-        self.zero_tag_id = self.tag_ids[int(zeros[0])] if zeros.size else None
-
-    def __len__(self) -> int:
-        return len(self.tag_ids)
-
-    @property
-    def dim(self) -> int:
-        return int(self.columns.shape[0])
-
-
-def _dots(scan: IndexScan, q: np.ndarray) -> np.ndarray:
+def _dots(index: VectorIndex, q: np.ndarray) -> np.ndarray:
     """Every row's dot product with ``q``, as ``einsum`` rounds it.
 
     Only dimensions where ``q`` is nonzero are visited.  A skipped product
     is an exact +0 or -0, and adding it would change nothing: an
-    accumulator that starts at +0 never becomes -0.
+    accumulator that starts at +0 never becomes -0.  A float32 column times
+    an ``np.float64`` widens exactly, so each product is rounded in float64.
     """
-    qo = q[scan.order]
+    order, lane_split = _visiting_order(index.dim)
+    qo = q[order]
     nonzero = np.flatnonzero(qo)
-    split = int(np.searchsorted(nonzero, scan.lane_split))
-    tmp = np.empty(len(scan))
+    split = int(np.searchsorted(nonzero, lane_split))
+    columns = index.vectors.T  # C-contiguous: one row per dimension
+    tmp = np.empty(len(index))
     lanes = []
     for dims in (nonzero[:split], nonzero[split:]):
-        acc = np.zeros(len(scan))
+        acc = np.zeros(len(index))
         for r in dims:
-            np.multiply(scan.columns[r], qo[r], out=tmp)
+            np.multiply(columns[order[r]], qo[r], out=tmp)
             np.add(acc, tmp, out=acc)
         lanes.append(acc)
     return np.add(lanes[0], lanes[1], out=lanes[0])
@@ -312,30 +304,23 @@ def _top_positions(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(neg, kind="stable")[:k]
 
 
-def top_k(query, index: VectorIndex | IndexScan, k: int) -> list[Candidate]:
+def top_k(query, index: VectorIndex, k: int) -> list[Candidate]:
     """The k index entries most cosine-similar to the query.
 
     Scores are non-increasing; equal scores are ordered by corpus position
-    (earlier wins); retrieval_rank runs 1..k without gaps.  Pass an
-    :class:`IndexScan` when querying many times: given a plain
-    :class:`VectorIndex`, this builds a throwaway scan for the one query.
-    The scan is not cached on the index, so its float64 copy lives only as
-    long as its caller keeps it.
+    (earlier wins); retrieval_rank runs 1..k without gaps.
     """
-    scan = index if isinstance(index, IndexScan) else IndexScan(index)
     q = _as_vector(query)
-    if q.shape[0] != scan.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs index {scan.dim}")
-    if not 1 <= k <= len(scan):
-        raise ValueError(f"k={k} out of range for index of size {len(scan)}")
+    if q.shape[0] != index.dim:
+        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs index {index.dim}")
+    if not 1 <= k <= len(index):
+        raise ValueError(f"k={k} out of range for index of size {len(index)}")
     qn = np.sqrt(np.einsum("i,i->", q, q))
     if qn == 0.0:
         raise ValueError("cosine similarity undefined for a zero query vector")
-    if scan.zero_tag_id is not None:
-        raise ValueError(f"index entry {scan.zero_tag_id!r} has a zero vector")
-    scores = _dots(scan, q) / (scan.norms * qn)
+    scores = _dots(index, q) / (index.norms * qn)
     return [
-        Candidate(tag_id=scan.tag_ids[int(pos)], score=float(scores[int(pos)]),
+        Candidate(tag_id=index.tag_ids[int(pos)], score=float(scores[int(pos)]),
                   retrieval_rank=rank)
         for rank, pos in enumerate(_top_positions(scores, k), start=1)
     ]
@@ -344,7 +329,7 @@ def top_k(query, index: VectorIndex | IndexScan, k: int) -> list[Candidate]:
 def retrieve(
     record: NumeralRecord,
     gen_doc: str,
-    index: VectorIndex | IndexScan,
+    index: VectorIndex,
     embedder: EmbedderBackend,
     k: int,
 ) -> list[Candidate]:

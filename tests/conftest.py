@@ -114,7 +114,8 @@ class FakeEmbeddingService:
     a batch's first text to what its first attempts get instead of a good
     reply: an HTTP status (with ``Retry-After: 1``), ``"read-error"``, a
     transport error while the body is read, ``"wide"``, vectors of twice
-    the width, or ``"nan"``, a NaN in the first vector.
+    the width, ``"nan"``, a NaN in the first vector, or ``"zero"``, a first
+    vector of zeros.
 
     With ``gate=(cap, batches)`` each request is held, for at most
     ``GATE_TIMEOUT`` seconds, until ``min(cap, batches not yet answered)``
@@ -162,6 +163,8 @@ class FakeEmbeddingService:
         doc = {"data": [{"embedding": v} for v in vectors.tolist()]}
         if outcome == "nan":
             doc["data"][0]["embedding"][0] = float("nan")
+        if outcome == "zero":
+            doc["data"][0]["embedding"] = [0.0] * vectors.shape[1]
         return FakeEmbeddingReply(200, doc)
 
     def _open_gate_if_full(self) -> bool:

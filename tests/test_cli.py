@@ -5,9 +5,11 @@ import dataclasses
 import json
 import math
 import re
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from tagrec.backends import FileBackedGenerator, HashEmbedder
@@ -186,6 +188,20 @@ class TestEmbedIndex:
         err = capsys.readouterr().err
         assert err.startswith("error: embedding failed") and "non-finite" in err
         assert list((tmp / "cache").rglob("*.json")) == []
+        assert not (tmp / "tags.idx").exists()
+
+    def test_a_zero_embedding_exits_2_and_writes_no_index(
+            self, workspace, capsys, monkeypatch):
+        tmp, taxonomy, _ = workspace
+        service = FakeEmbeddingService(script={TEN_TAGS[0][1]: ["zero"]})
+        monkeypatch.setattr("requests.Session", lambda: service)
+        config = tmp / "embed.json"
+        config.write_text(json.dumps({"embedder": HTTP_EMBEDDER}),
+                          encoding="utf-8")
+        assert run_cli("embed-index", "--config", config, "--taxonomy",
+                       taxonomy, "--index", tmp / "tags.idx") == 2
+        assert capsys.readouterr().err == (
+            "error: embedding failed: index entry 'Revenues' has a zero vector\n")
         assert not (tmp / "tags.idx").exists()
 
     def test_a_non_finite_cached_embedding_exits_2(self, workspace, capsys,
@@ -722,6 +738,31 @@ class TestRun:
         assert capsys.readouterr().err.endswith("rebuild with embed-index\n")
         assert not (tmp / "p.jsonl").exists()
 
+    def test_a_version_2_index_exits_2(self, workspace, capsys):
+        """The header of the row-by-row layout that version 3 replaced."""
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("embed-index", "--taxonomy", taxonomy, "--index",
+                       tmp / "tags.idx", "--embedder", "hash:64") == 0
+        data = (tmp / "tags.idx").read_bytes()
+        (tmp / "tags.idx").write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        assert self._on_index(workspace, "run", "--embedder", "hash:64") == 2
+        assert capsys.readouterr().err.endswith(
+            "not a version-3 index file; rebuild with embed-index\n")
+        assert not (tmp / "p.jsonl").exists()
+
+    def test_an_index_file_with_a_zero_row_exits_2(self, workspace, capsys):
+        tmp, taxonomy, dataset = workspace
+        assert run_cli("embed-index", "--taxonomy", taxonomy, "--index",
+                       tmp / "tags.idx", "--embedder", "hash:64") == 0
+        data = bytearray((tmp / "tags.idx").read_bytes())
+        columns = np.frombuffer(data, "<f4", offset=len(data) - 4 * 64 * 10)
+        columns.reshape(64, 10)[:, 3] = 0.0  # NetIncomeLoss's row
+        (tmp / "tags.idx").write_bytes(data)
+        assert self._on_index(workspace, "run", "--embedder", "hash:64") == 2
+        assert capsys.readouterr().err.endswith(
+            "index entry 'NetIncomeLoss' has a zero vector\n")
+        assert not (tmp / "p.jsonl").exists()
+
     def test_http_ranker_keeps_to_its_rate_limit(self, workspace,
                                                  monkeypatch):
         """Records overlap, but never more than max_in_flight calls do."""
@@ -904,6 +945,9 @@ class TestMalformedBackendSpecs:
         ({"rate_limit": {"min_interval": math.inf}}, "min_interval"),
         ({"rate_limit": {"min_interval": math.nan}}, "min_interval"),
         ({"rate_limit": {"min_interval": -1}}, "min_interval"),
+        ({"timeout": 1e300}, "timeout"),
+        ({"retry": {"max_delay": 2**70}}, "max_delay"),
+        ({"rate_limit": {"min_interval": 1e300}}, "min_interval"),
     ])
     def test_a_client_setting_that_fails_every_call_exits_2(
             self, workspace, capsys, setting, message):

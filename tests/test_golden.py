@@ -152,11 +152,22 @@ def _avx2_x86_64() -> bool:
         return False
 
 
+def enabled_dispatch_targets() -> list[str]:
+    """The CPU targets beyond its baseline that numpy dispatches to here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 _UNDER_KERNEL = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 from test_acceptance import test_c01_retrieval_oracle_equivalence
-from test_golden import golden_digest, openblas_core
+from test_golden import enabled_dispatch_targets, golden_digest, openblas_core
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+assert not set(off) & set(enabled_dispatch_targets()), enabled_dispatch_targets()
 test_c01_retrieval_oracle_equivalence()
 print(json.dumps({"core": openblas_core(),
                   "digest": golden_digest(Path(sys.argv[1]))}))
@@ -167,20 +178,26 @@ print(json.dumps({"core": openblas_core(),
                     reason="forces OpenBLAS kernels of x86-64 CPUs with AVX2")
 def test_outputs_are_the_same_under_other_blas_kernels(tmp_path):
     """The golden outputs and c01, in processes whose OpenBLAS is forced to
-    another kernel.  Only kernels that any AVX2 CPU runs are forced."""
+    another kernel, and in one whose numpy dispatches to none of the CPU
+    targets past its baseline.  Only kernels that any AVX2 CPU runs are
+    forced."""
     tests = Path(__file__).resolve().parent
     src = Path(sys.modules["tagrec"].__file__).resolve().parents[1]
     runs = {}
-    for kernel in ("Haswell", "Prescott"):
-        (tmp_path / kernel).mkdir()
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+    for name, setting in (
+            ("Haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
+            ("Prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
+            ("baseline", {"NPY_DISABLE_CPU_FEATURES":
+                          " ".join(enabled_dispatch_targets())})):
+        (tmp_path / name).mkdir()
+        env = {**os.environ, **setting,
                "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
         done = subprocess.run([sys.executable, "-c", _UNDER_KERNEL,
-                               str(tmp_path / kernel)], env=env, cwd=tests,
+                               str(tmp_path / name)], env=env, cwd=tests,
                               capture_output=True, encoding="utf-8", timeout=300)
         assert done.returncode == 0, done.stderr
-        runs[kernel] = json.loads(done.stdout.splitlines()[-1])
+        runs[name] = json.loads(done.stdout.splitlines()[-1])
     assert {run["digest"] for run in runs.values()} == {GOLDEN_DIGEST}
-    cores = {run["core"] for run in runs.values()}
+    cores = {runs[kernel]["core"] for kernel in ("Haswell", "Prescott")}
     if None not in cores:  # each forced kernel was the one in force
-        assert len(cores) == len(runs)
+        assert len(cores) == 2

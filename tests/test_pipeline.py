@@ -1,17 +1,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from tagrec import pipeline, retrieval
 from tagrec.backends import FileBackedGenerator, HashEmbedder
 from tagrec.corpus import NumeralRecord
 from tagrec.errors import ConfigError
 from tagrec.evaluation import SweepAxis, evaluate_predictions
 from tagrec.pipeline import apply_axis, jsonl_line, run_records, run_sweep
 from tagrec.rerank import Ordering, RerankConfig, VoteMode
-from tagrec.retrieval import IndexScan, VectorIndex, build_index
+from tagrec.retrieval import build_index
 from tagrec.sim import OracleKind, OracleRanker, OracleSpec
 
 from conftest import TEN_TAGS, make_corpus, make_records
@@ -146,50 +146,28 @@ class TestRunRecords:
 
 
 class TestRunScan:
-    def test_same_outputs_as_retrieving_from_the_plain_index(self, parts,
-                                                              monkeypatch):
-        corpus, index, _ = parts
-        records = make_records(5) + [NumeralRecord(
-            record_id="r900", report_text="total 42 .", numeral="42",
-            question="q", gold_tag_id="LongTermDebt",
-            gen_tag_doc="cost of debt and income taxes for the period")]
-        config = RerankConfig(seed=7, top_k=6, group_size=3)
-        ranker = OracleRanker(OracleSpec(OracleKind.LEXICAL))
-        scanned = run(parts, records, ranker=ranker, config=config)
-
-        passed = []
-
-        def retrieve_from_index(record, gen_doc, scan, embedder, k):
-            passed.append(scan)
-            return retrieval.retrieve(record, gen_doc, index, embedder, k)
-
-        monkeypatch.setattr(pipeline, "retrieve", retrieve_from_index)
-        plain = run(parts, records, ranker=ranker, config=config)
-        assert len(passed) == len(records)
-        assert all(isinstance(s, IndexScan) and s is passed[0] for s in passed)
-        assert [jsonl_line(p) for p in scanned.predictions] == \
-            [jsonl_line(p) for p in plain.predictions]
-        assert [jsonl_line(t) for t in scanned.traces] == \
-            [jsonl_line(t) for t in plain.traces]
-
-    def test_index_holds_no_copy_after_the_run(self, parts):
+    def test_the_run_adds_only_the_norms_to_the_index(self, parts):
         _, index, _ = parts
         before = dict(index.__dict__)
         run(parts, make_records(3))
-        assert index.__dict__.keys() == before.keys()
+        assert index.__dict__.keys() - before.keys() == {"norms"}
+        assert index.norms.shape == (len(index),)
         assert all(index.__dict__[name] is value for name, value in before.items())
 
-    def test_zero_vector_fails_each_record_as_before(self):
-        corpus = make_corpus()
+    def test_a_run_makes_no_float64_copy_of_the_index(self):
+        """A 4,000 x 64 float64 copy of the index would take 2.05 MB."""
+        corpus = make_corpus(TEN_TAGS + [(f"Tag{i}", f"tag number {i}")
+                                         for i in range(3990)])
         embedder = HashEmbedder(dim=64)
-        built = build_index(corpus, embedder)
-        vectors = built.vectors.copy()
-        vectors[3] = 0.0
-        index = VectorIndex(tag_ids=built.tag_ids, vectors=vectors)
-        result = run((corpus, index, embedder), make_records(2))
-        assert result.predictions == []
-        assert [f["reason"] for f in result.failed] == \
-            ["index entry 'NetIncomeLoss' has a zero vector"] * 2
+        index = build_index(corpus, embedder)
+        run((corpus, index, embedder), make_records(1))  # computes the norms
+        tracemalloc.start()
+        try:
+            result = run((corpus, index, embedder), make_records(3))
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert len(result.predictions) == 3
 
 
 class TestApplyAxis:
@@ -311,25 +289,6 @@ class TestRunSweep:
         direct = run(parts, records, config=RerankConfig(seed=11))
         expected = evaluate_predictions(direct.prediction_set())
         assert table.cells[0].report == expected
-
-    def test_one_scan_serves_every_cell(self, parts, monkeypatch):
-        corpus, index, embedder = parts
-        built = []
-
-        class CountedScan(IndexScan):
-            def __init__(self, index):
-                built.append(1)
-                super().__init__(index)
-        monkeypatch.setattr(pipeline, "IndexScan", CountedScan)
-        table = run_sweep(
-            make_records(3), corpus, index,
-            generator=FileBackedGenerator(), embedder=embedder,
-            ranker=OracleRanker(OracleSpec(OracleKind.PERFECT)),
-            template=RerankConfig(seed=3), instruction="inst",
-            axis=SweepAxis.ITERATIONS, values=[1, 2, 4],
-        )
-        assert [c.failed for c in table.cells] == [False] * 3
-        assert len(built) == 1
 
 
 class TestJsonlLine:

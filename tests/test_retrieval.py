@@ -16,11 +16,11 @@ from tagrec.backends import CachingEmbedder, HashEmbedder, HttpEmbedder, \
     RateLimiter, ResponseCache, RetryPolicy
 from tagrec import retrieval
 from tagrec.errors import BackendError
-from tagrec.retrieval import IndexScan, VectorIndex, _top_positions, \
-    build_index, retrieve, top_k
+from tagrec.retrieval import VectorIndex, _top_positions, build_index, \
+    retrieve, top_k
 
-from conftest import FakeEmbeddingService, embed_threads, make_records, \
-    v1_bytes
+from conftest import FakeEmbeddingService, embed_threads, make_corpus, \
+    make_records, v1_bytes
 
 
 def brute_force_top_k(query, index, k):
@@ -36,14 +36,14 @@ def brute_force_top_k(query, index, k):
 
 
 def per_query_top_k(query, vectors, k):
-    """The per-query scan IndexScan replaces: float64 copy, norms, full sort.
+    """The scan ``top_k`` stands for: a row-major float64 copy, norms, full sort.
 
     Scores come from numpy's own loops (``einsum``), never BLAS, so their
     bits do not depend on the CPU's BLAS kernel.  Returns (position,
     score.hex()) pairs, so scores compare bit for bit.
     """
     q = np.asarray(query, dtype=np.float64)
-    mat = vectors.astype(np.float64)
+    mat = np.ascontiguousarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1)
     scores = (np.einsum("ij,j->i", mat, q)
               / (norms * np.sqrt(np.einsum("i,i->", q, q))))
@@ -87,6 +87,24 @@ class TestIndex:
         path2 = tmp_path / "tags2.idx"
         reloaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_the_file_holds_the_vectors_column_by_column(self, tmp_path):
+        rows = np.arange(1, 7, dtype=np.float32).reshape(2, 3)
+        index = VectorIndex(tag_ids=("a", "bc"), vectors=rows)
+        path = tmp_path / "tags.idx"
+        index.save(path)
+        data = path.read_bytes()
+        assert data[:8] == b"TRIX" + struct.pack("<I", 3)
+        assert data[-24:] == struct.pack("<6f", 1, 4, 2, 5, 3, 6)
+        for made in (index, VectorIndex.load(path),
+                     build_index(make_corpus(), HashEmbedder(dim=8))):
+            assert made.vectors.flags.f_contiguous
+            assert made.vectors.dtype == np.float32
+        assert np.array_equal(VectorIndex.load(path).vectors, rows)
+        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        with pytest.raises(ValueError, match="not a version-3 index file; "
+                                             "rebuild with embed-index$"):
+            VectorIndex.load(path)
 
     def test_truncated_file_rejected(self, tmp_path, ten_tag_corpus):
         index = build_index(ten_tag_corpus, HashEmbedder(dim=8))
@@ -170,6 +188,7 @@ def indexes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.normal(size=(count, dim)).astype(np.float32)
     vectors[rng.random(size=vectors.shape) < 0.2] = -0.0
+    vectors[~vectors.any(axis=1), 0] = 1.0  # an index holds no zero row
     return VectorIndex(
         tuple(draw(st.lists(TAG_IDS, min_size=count, max_size=count,
                             unique=True))), vectors,
@@ -441,7 +460,7 @@ tie_heavy = st.integers(1, 4).flatmap(lambda dim: st.tuples(
 ))
 
 
-class TestIndexScan:
+class TestColumnScan:
     @settings(max_examples=150, deadline=None)
     @given(case=tie_heavy)
     def test_same_ids_and_score_bits_as_per_query_scan(self, case):
@@ -449,13 +468,11 @@ class TestIndexScan:
         vectors = np.array([pool[i % len(pool)] for i in picks], dtype=np.float32)
         index = VectorIndex(tag_ids=tuple(f"t{i}" for i in range(len(picks))),
                             vectors=vectors)
-        scan = IndexScan(index)
         for k in range(1, len(index) + 1):
             expected = [(index.tag_ids[pos], bits)
                         for pos, bits in per_query_top_k(query, vectors, k)]
-            for source in (scan, index):
-                got = [(c.tag_id, c.score.hex()) for c in top_k(query, source, k)]
-                assert got == expected
+            got = [(c.tag_id, c.score.hex()) for c in top_k(query, index, k)]
+            assert got == expected
 
     @settings(max_examples=300, deadline=None)
     @given(scores=st.lists(
@@ -484,44 +501,64 @@ class TestIndexScan:
             query[rng.integers(dim)] = rng.normal()
             expected = [(index.tag_ids[pos], bits)
                         for pos, bits in per_query_top_k(query, vectors, n)]
-            got = [(c.tag_id, c.score.hex())
-                   for c in top_k(query, IndexScan(index), n)]
+            got = [(c.tag_id, c.score.hex()) for c in top_k(query, index, n)]
             assert got == expected
 
     def test_a_strided_query_scores_as_its_contiguous_copy(self):
         rng = np.random.default_rng(37)
-        scan = IndexScan(random_index(rng, 500, 37))
+        index = random_index(rng, 500, 37)
         queries = rng.normal(size=(37, 5))
         for column in range(queries.shape[1]):
             strided, copied = ([(c.tag_id, c.score.hex())
-                                for c in top_k(query, scan, len(scan))]
+                                for c in top_k(query, index, len(index))]
                                for query in (queries[:, column],
                                              queries[:, column].copy()))
             assert strided == copied
 
     def test_norms_by_block_equal_norms_of_whole_matrix(self):
         rng = np.random.default_rng(5)
-        n = 2 * IndexScan.BLOCK_ROWS + 37
+        n = 2 * VectorIndex.BLOCK_ROWS + 37
         index = random_index(rng, n, 24)
-        scan = IndexScan(index)
-        whole = np.linalg.norm(index.vectors.astype(np.float64), axis=1)
-        assert scan.norms.tobytes() == whole.tobytes()
+        whole = np.linalg.norm(np.ascontiguousarray(index.vectors,
+                                                    dtype=np.float64), axis=1)
+        assert index.norms.tobytes() == whole.tobytes()
         query = rng.normal(size=24)
-        got = [(c.tag_id, c.score.hex()) for c in top_k(query, scan, 50)]
+        got = [(c.tag_id, c.score.hex()) for c in top_k(query, index, 50)]
         assert got == [(index.tag_ids[pos], bits)
                        for pos, bits in per_query_top_k(query, index.vectors, 50)]
 
-    def test_zero_vector_reported_by_the_first_query(self):
-        vectors = np.array([[1, 0], [0, 0], [0, 1]], dtype=np.float32)
-        index = VectorIndex(tag_ids=("a", "empty", "c"), vectors=vectors)
-        scan = IndexScan(index)
-        for source in (scan, index):
-            with pytest.raises(ValueError,
-                               match="^index entry 'empty' has a zero vector$"):
-                top_k([1.0, 1.0], source, 1)
-        # A zero query is reported before a zero row.
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_row_is_refused_where_the_index_is_made(self, zero):
+        vectors = np.array([[1, 0], [zero, zero], [0, 1]], dtype=np.float32)
+        with pytest.raises(ValueError,
+                           match="^index entry 'empty' has a zero vector$"):
+            VectorIndex(tag_ids=("a", "empty", "c"), vectors=vectors)
+        index = VectorIndex(tag_ids=("a", "c"), vectors=vectors[[0, 2]])
         with pytest.raises(ValueError, match="zero query vector"):
-            top_k([0.0, 0.0], scan, 1)
+            top_k([0.0, 0.0], index, 1)
+
+    def test_a_zero_row_fails_the_build_naming_its_tag(self, ten_tag_corpus):
+        class ZeroForNetIncome:
+            backend_id = "zero"
+
+            def embed_batch(self, texts):
+                return np.array([[0.0, 0.0] if "profit or loss" in text
+                                 else [1.0, 2.0] for text in texts])
+        with pytest.raises(BackendError, match="^embedding failed: index entry "
+                                               "'NetIncomeLoss' has a zero vector$"):
+            build_index(ten_tag_corpus, ZeroForNetIncome())
+
+    def test_a_query_after_the_first_makes_no_float64_copy(self):
+        """A 4,000 x 64 float64 copy of the index would take 2.05 MB."""
+        index = random_index(np.random.default_rng(2), 4000, 64)
+        query = np.random.default_rng(3).normal(size=64)
+        top_k(query, index, 5)  # computes and keeps the norms
+        tracemalloc.start()
+        try:
+            top_k(query, index, 5)
+            assert tracemalloc.get_traced_memory()[1] < 2**19
+        finally:
+            tracemalloc.stop()
 
 
 class TestRetrieve:

@@ -118,6 +118,22 @@ def test_a_bool_number_setting_is_refused_as_the_cli_refuses_it(build, name):
         build()
 
 
+@pytest.mark.parametrize("build, name, most", [
+    (lambda v: RetryPolicy(max_delay=v), "max_delay", threading.TIMEOUT_MAX),
+    (lambda v: RateLimiter(max_in_flight=4, min_interval=v), "min_interval",
+     threading.TIMEOUT_MAX / 4),
+    (lambda v: HttpChatRanker("m", "http://api.test/v1", session=object(),
+                              timeout=v), "timeout", threading.TIMEOUT_MAX),
+], ids=["max_delay", "min_interval", "timeout"])
+def test_a_wait_the_platform_cannot_make_is_refused(build, name, most):
+    """Each of these once built with 2**70, and every call with it then
+    failed, or slept, with OverflowError."""
+    assert getattr(build(most), name) == most
+    for value in (2**70, math.nextafter(most, math.inf)):
+        with pytest.raises(ValueError, match=f"^{name} must be from 0 to "):
+            build(value)
+
+
 @pytest.mark.parametrize("value, low, high, message", [
     (True, None, None, "x must be a number, got True"),
     ("0.5", None, None, "x must be a number, got '0.5'"),
