@@ -182,7 +182,7 @@ class VectorIndex:
             vectors = np.empty((count, dim), dtype="<f4", order="F")
             if fh.readinto(vectors.T) != vectors.nbytes:  # shrunk since the check
                 raise ValueError(f"{path}: truncated index file")
-        return cls(tuple(ids), vectors.astype(np.float32, copy=False), *built_by)
+        return cls(tuple(ids), vectors, *built_by)
 
 
 def _embed(call, n: int, what: str) -> np.ndarray:
@@ -269,8 +269,10 @@ def _dots(index: VectorIndex, q: np.ndarray) -> np.ndarray:
 
     Only dimensions where ``q`` is nonzero are visited.  A skipped product
     is an exact +0 or -0, and adding it would change nothing: an
-    accumulator that starts at +0 never becomes -0.  A float32 column times
-    an ``np.float64`` widens exactly, so each product is rounded in float64.
+    accumulator that starts at +0 never becomes -0.  Each float32 column is
+    widened exactly and multiplied in float64; ``dtype`` asks for that loop,
+    which numpy 1.x's value-based casting would not pick for a float32 array
+    times a float64 scalar.
     """
     order, lane_split = _visiting_order(index.dim)
     qo = q[order]
@@ -282,7 +284,7 @@ def _dots(index: VectorIndex, q: np.ndarray) -> np.ndarray:
     for dims in (nonzero[:split], nonzero[split:]):
         acc = np.zeros(len(index))
         for r in dims:
-            np.multiply(columns[order[r]], qo[r], out=tmp)
+            np.multiply(columns[order[r]], qo[r], out=tmp, dtype=np.float64)
             np.add(acc, tmp, out=acc)
         lanes.append(acc)
     return np.add(lanes[0], lanes[1], out=lanes[0])

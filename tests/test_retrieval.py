@@ -515,6 +515,16 @@ class TestColumnScan:
                                              queries[:, column].copy()))
             assert strided == copied
 
+    def test_products_are_rounded_in_float64_whatever_the_scalar_type(self):
+        """numpy 1.x multiplies a float32 array by a float64 scalar in
+        float32; a float32 scalar does so on every version.  The products
+        must still be those of the widened column."""
+        rng = np.random.default_rng(11)
+        index = random_index(rng, 300, 37)
+        query = rng.normal(size=37).astype(np.float32)
+        assert (retrieval._dots(index, query).tobytes()
+                == retrieval._dots(index, query.astype(np.float64)).tobytes())
+
     def test_norms_by_block_equal_norms_of_whole_matrix(self):
         rng = np.random.default_rng(5)
         n = 2 * VectorIndex.BLOCK_ROWS + 37
